@@ -212,8 +212,8 @@ int main(int argc, char** argv) {
     const std::size_t scalar_cap = std::min<std::size_t>(
         workload.size(), sensors >= 64 ? (opt.fast ? 8 : 16) : 64);
     const std::size_t flat_cap = std::min<std::size_t>(workload.size(), 128);
-    const std::vector<SamplingVector> flat_work(workload.begin(),
-                                                workload.begin() + flat_cap);
+    const std::vector<SamplingVector> flat_work(
+        workload.begin(), workload.begin() + static_cast<std::ptrdiff_t>(flat_cap));
 
     // Each round times the three engines back to back, so a noisy
     // phase of the host machine hits them alike and the cross-engine

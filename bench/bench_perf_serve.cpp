@@ -26,9 +26,10 @@
 //   serve_fleet_mt    8 shards on the selected pool (informational)
 //   serve_churn       serve_fleet_mt plus a fail/revive every --churn
 //                     ticks (informational; rebuild cost included)
-//   churn_full        service-path stall per churn event with
-//                     synchronous full rebuilds (async_rebuild off):
-//                     what fail_node()/revive_node() cost before the
+//   churn_full        service-path stall per churn event when each
+//                     call waits for its full rebuild (fail/revive +
+//                     flush_rebuilds(), patch_division off): what
+//                     fail_node()/revive_node() cost before the
 //                     off-thread pipeline existed
 //   churn_patched     the same stall with async delta-patched rebuilds
 //                     (the default config) — the gated row: its
@@ -226,7 +227,7 @@ int main(int argc, char** argv) {
   // Gate 1: shard-count invariance + serial-replay equivalence. The
   // replay is the executable spec: one frame at a time, one shard.
   {
-    const FaceMapCache::Entry entry =
+    const Division entry =
         cache.get_or_build(roster, channel.C, cfg.field, cfg.grid_cell, single);
     std::vector<NodeId> all_members(roster.size());
     for (std::size_t i = 0; i < roster.size(); ++i)
@@ -264,7 +265,7 @@ int main(int argc, char** argv) {
     }
 
     TrackManagerFleet fleet = make_fleet(2, mt_pool, false);
-    SerialReplay replay(base_config.track, fleet.map(), fleet.table(),
+    SerialReplay replay(base_config.track, fleet.division().map, fleet.division().table,
                         fleet.members(), single);
     std::vector<TrackUpdate> spec;
     TrackManagerFleet spec_divisions = make_fleet(1, single, false);
@@ -278,7 +279,7 @@ int main(int argc, char** argv) {
                                       : spec_divisions.revive_node(e.node);
           if (!applied) fail("churn schedule refused by spec fleet");
           spec_divisions.flush_rebuilds();
-          replay.adopt_division(spec_divisions.map(), spec_divisions.table(),
+          replay.adopt_division(spec_divisions.division().map, spec_divisions.division().table,
                                 spec_divisions.members());
         }
         for (const ReportFrame& frame : stream[tick])
@@ -310,7 +311,7 @@ int main(int argc, char** argv) {
   // machinery.
   double scalar_s = 1e300;
   {
-    const FaceMapCache::Entry entry =
+    const Division entry =
         cache.get_or_build(roster, channel.C, cfg.field, cfg.grid_cell, single);
     const BatchMatcher matcher(entry.map, entry.table, BatchMatcher::Config{},
                                single);
@@ -393,20 +394,20 @@ int main(int argc, char** argv) {
   time_fleet("serve_churn", 8, mt_pool, mt_pool.thread_count(), churn_events, "");
 
   // Churn-event stall rows: what the *service thread* pays per accepted
-  // fail/revive call. churn_full restores the pre-async semantics (the
-  // division rebuild runs inside the call); churn_patched is the default
-  // config (alive-mirror flip + rebuild enqueue; the delta-patched
-  // rebuild runs off-thread and is settled outside the stall clock).
-  // Both fleets serve hierarchically — the full row rebuilds the coarse
-  // tier and index wholesale, the patched row delta-patches them.
+  // fail/revive call. churn_full times the call plus flush_rebuilds()
+  // (the synchronous semantics: the division rebuild lands before the
+  // clock stops); churn_patched is the default config (alive-mirror flip
+  // + rebuild enqueue; the delta-patched rebuild runs off-thread and is
+  // settled outside the stall clock). Both fleets serve hierarchically —
+  // the full row rebuilds the coarse tier and index wholesale, the
+  // patched row delta-patches them.
   {
     const std::size_t kEvents = opt.fast ? std::size_t{12} : std::size_t{40};
-    const auto stall_row = [&](const std::string& name, bool async, bool patch,
+    const auto stall_row = [&](const std::string& name, bool sync, bool patch,
                                const std::string& ref) {
       TrackManagerFleet::Config c = base_config;
       c.shards = 8;
       c.track.hierarchical = true;
-      c.async_rebuild = async;
       c.patch_division = patch;
       TrackManagerFleet fleet(roster, channel.C, cfg.field, cfg.grid_cell, c,
                               mt_pool, nullptr);
@@ -423,6 +424,7 @@ int main(int argc, char** argv) {
         const auto t0 = now();
         const bool ok =
             fail_next ? fleet.fail_node(node) : fleet.revive_node(node);
+        if (sync) fleet.flush_rebuilds();  // the rebuild lands inside the clock
         event_ns.push_back(seconds(now() - t0) * 1e9);
         if (!ok) fail(name + ": churn event refused");
         if (!fail_next) node = static_cast<NodeId>((node + 1) % roster.size());
@@ -453,8 +455,8 @@ int main(int argc, char** argv) {
       rows.push_back({name, opt.tracks, p50, 1e9 / p50,
                       mt_pool.thread_count(), ref, extra.str()});
     };
-    stall_row("churn_full", false, false, "");
-    stall_row("churn_patched", true, true, "churn_full");
+    stall_row("churn_full", true, false, "");
+    stall_row("churn_patched", false, true, "churn_full");
   }
   (void)sink;
 

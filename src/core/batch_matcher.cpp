@@ -104,42 +104,14 @@ struct BatchMatcher::DescentScratch {
   std::vector<std::int32_t> iv;  ///< integral component values
 };
 
-BatchMatcher::BatchMatcher(std::shared_ptr<const FaceMap> map)
-    : BatchMatcher(std::move(map), Config{}, ThreadPool::global()) {}
-
-BatchMatcher::BatchMatcher(std::shared_ptr<const FaceMap> map, Config config,
-                           ThreadPool& pool)
-    : map_(std::move(map)), config_(config), pool_(&pool),
-      table_(std::make_shared<const SignatureTable>(require_map(map_))) {
-  FTTT_CHECK(config_.face_block > 0, "BatchMatcher: zero face_block");
-  FTTT_OBS_GAUGE_SET("matcher.kernel.clones", FTTT_HAS_VECTOR_CLONES);
-}
-
-BatchMatcher::BatchMatcher(std::shared_ptr<const FaceMap> map, SignatureTable table)
-    : BatchMatcher(std::move(map), std::move(table), Config{}, ThreadPool::global()) {}
-
-BatchMatcher::BatchMatcher(std::shared_ptr<const FaceMap> map, SignatureTable table,
-                           Config config, ThreadPool& pool)
-    : map_(std::move(map)), config_(config), pool_(&pool),
-      table_(std::make_shared<const SignatureTable>(std::move(table))) {
-  const FaceMap& m = require_map(map_);
-  if (table_->face_count() != m.face_count() || table_->dimension() != m.dimension())
-    throw std::invalid_argument("BatchMatcher: signature table does not match map");
-  FTTT_CHECK(config_.face_block > 0, "BatchMatcher: zero face_block");
-  FTTT_OBS_GAUGE_SET("matcher.kernel.clones", FTTT_HAS_VECTOR_CLONES);
-}
-
-BatchMatcher::BatchMatcher(std::shared_ptr<const FaceMap> map,
-                           std::shared_ptr<const SignatureTable> table)
-    : BatchMatcher(std::move(map), std::move(table), Config{}, ThreadPool::global()) {}
-
 BatchMatcher::BatchMatcher(std::shared_ptr<const FaceMap> map,
                            std::shared_ptr<const SignatureTable> table, Config config,
                            ThreadPool& pool)
     : map_(std::move(map)), config_(config), pool_(&pool), table_(std::move(table)) {
   const FaceMap& m = require_map(map_);
-  if (!table_) throw std::invalid_argument("BatchMatcher: null signature table");
-  if (table_->face_count() != m.face_count() || table_->dimension() != m.dimension())
+  if (!table_)
+    table_ = std::make_shared<const SignatureTable>(m);
+  else if (table_->face_count() != m.face_count() || table_->dimension() != m.dimension())
     throw std::invalid_argument("BatchMatcher: signature table does not match map");
   FTTT_CHECK(config_.face_block > 0, "BatchMatcher: zero face_block");
   FTTT_OBS_GAUGE_SET("matcher.kernel.clones", FTTT_HAS_VECTOR_CLONES);
@@ -466,10 +438,10 @@ void BatchMatcher::descend_into(const SamplingVector& vd, DescentScratch& ds,
 /// which the caller's completion wait orders before return.
 struct BatchMatcher::BatchState {
   const BatchMatcher* matcher{nullptr};
-  const std::vector<SamplingVector>* batch{nullptr};
+  const SamplingVector* const* batch{nullptr};
   MatchResult* results{nullptr};
-  /// batch->size(), snapshotted before submission: a straggler task that
-  /// loses every chunk claim must not touch the caller-owned vector at all.
+  /// The batch size, snapshotted before submission: a straggler task that
+  /// loses every chunk claim must not touch the caller-owned batch at all.
   std::size_t n{0};
   /// Descent routing, snapshotted for the same reason: reading it
   /// through `matcher` outside a claimed chunk would race destruction.
@@ -493,9 +465,9 @@ struct BatchMatcher::BatchState {
       const std::size_t hi = std::min(n, lo + chunk_size);
       for (std::size_t i = lo; i < hi; ++i) {
         if (hier)
-          matcher->descend_into((*batch)[i], descent[slot], results[i]);
+          matcher->descend_into(*batch[i], descent[slot], results[i]);
         else
-          matcher->match_into((*batch)[i], scratch[slot].data(), results[i]);
+          matcher->match_into(*batch[i], scratch[slot].data(), results[i]);
       }
       if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == chunks)
         done.notify_all();
@@ -505,12 +477,20 @@ struct BatchMatcher::BatchState {
 
 std::vector<MatchResult> BatchMatcher::match(
     const std::vector<SamplingVector>& batch) const {
+  std::vector<const SamplingVector*> borrowed;
+  borrowed.reserve(batch.size());
+  for (const SamplingVector& vd : batch) borrowed.push_back(&vd);
+  return match_each(borrowed);
+}
+
+std::vector<MatchResult> BatchMatcher::match_each(
+    std::span<const SamplingVector* const> batch) const {
   std::vector<MatchResult> results(batch.size());
   if (batch.empty()) return results;
   FTTT_OBS_SPAN("matcher.batch");
   FTTT_OBS_COUNT("matcher.batch.vectors", batch.size());
   FTTT_OBS_HIST("matcher.batch.size", "vectors", batch.size());
-  for (const SamplingVector& vd : batch) require_dimension(vd);
+  for (const SamplingVector* vd : batch) require_dimension(*vd);
 
   const std::size_t n = batch.size();
   const std::size_t padded = table_->padded_faces();
@@ -518,17 +498,17 @@ std::vector<MatchResult> BatchMatcher::match(
   if (n < config_.min_parallel_batch || workers <= 1) {
     if (hier_) {
       DescentScratch ds;
-      for (std::size_t i = 0; i < n; ++i) descend_into(batch[i], ds, results[i]);
+      for (std::size_t i = 0; i < n; ++i) descend_into(*batch[i], ds, results[i]);
     } else {
       std::vector<double> acc(padded);
-      for (std::size_t i = 0; i < n; ++i) match_into(batch[i], acc.data(), results[i]);
+      for (std::size_t i = 0; i < n; ++i) match_into(*batch[i], acc.data(), results[i]);
     }
     return results;
   }
 
   auto state = std::make_shared<BatchState>();
   state->matcher = this;
-  state->batch = &batch;
+  state->batch = batch.data();
   state->results = results.data();
   state->n = n;
   state->hier = hier_ != nullptr;
@@ -603,6 +583,52 @@ MatchResult BatchMatcher::climb(const SamplingVector& vd, FaceId start) const {
   r.tied_faces.assign(1, current);
   detail::finalize_match(*map_, r);
   return r;
+}
+
+void BatchMatcher::localize(std::span<const LocalizeRequest> requests,
+                            double fallback_similarity, std::vector<Localized>& out) const {
+  out.resize(requests.size());
+  std::vector<std::size_t> cold;  // requests the exhaustive pass resolves
+  std::vector<const SamplingVector*> batch;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const LocalizeRequest& q = requests[i];
+    Localized& l = out[i];
+    l.warm = false;
+    l.fell_back = false;
+    if (q.start) {
+      l.match = climb(*q.vd, *q.start);
+      if (l.match.similarity >= fallback_similarity) {
+        l.warm = true;
+        continue;
+      }
+      l.fell_back = true;
+    }
+    cold.push_back(i);
+    batch.push_back(q.vd);
+  }
+  if (batch.empty()) return;
+
+  std::vector<MatchResult> full = match_each(batch);
+  std::uint64_t won = 0;
+  std::uint64_t kept_climb = 0;
+  for (std::size_t k = 0; k < cold.size(); ++k) {
+    Localized& l = out[cold[k]];
+    if (!l.fell_back) {
+      l.match = std::move(full[k]);
+      continue;
+    }
+    // The retry wins only when strictly better than the climb.
+    const std::size_t examined = l.match.faces_examined + full[k].faces_examined;
+    if (full[k].similarity > l.match.similarity) {
+      l.match = std::move(full[k]);
+      ++won;
+    } else {
+      ++kept_climb;
+    }
+    l.match.faces_examined = examined;
+  }
+  FTTT_OBS_COUNT("localizer.fallback.won", won);
+  FTTT_OBS_COUNT("localizer.fallback.kept_climb", kept_climb);
 }
 
 }  // namespace fttt

@@ -29,6 +29,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -41,42 +42,48 @@ namespace fttt {
 class HierFaceMap;
 class SignatureIndex;
 
+/// BatchMatcher tuning (BatchMatcher::Config). Declared at namespace
+/// scope so its member initializers can feed the constructor's default
+/// argument.
+struct BatchMatcherConfig {
+  /// Accumulator columns per block: the block's doubles plus one plane
+  /// segment should stay L1-resident (1024 -> 8 KiB acc + 1 KiB plane).
+  std::size_t face_block{1024};
+  /// Batches below this size run on the caller; pool fan-out overhead
+  /// would exceed the matching work.
+  std::size_t min_parallel_batch{16};
+};
+
+/// One request of BatchMatcher::localize: a sampling vector and, for a
+/// track with a position to continue from, the face its climb starts at.
+struct LocalizeRequest {
+  const SamplingVector* vd{nullptr};
+  std::optional<FaceId> start;  ///< none: cold, the exhaustive pass only
+};
+
+/// What BatchMatcher::localize kept for one request.
+struct Localized {
+  /// The kept match. faces_examined counts every face the request
+  /// examined: the climb plus, when it fell back, the cold pass.
+  MatchResult match;
+  bool warm{false};       ///< the climb met the floor; no cold pass ran
+  bool fell_back{false};  ///< the climb missed the floor; the cold pass ran
+};
+
 class BatchMatcher {
  public:
-  struct Config {
-    /// Accumulator columns per block: the block's doubles plus one plane
-    /// segment should stay L1-resident (1024 -> 8 KiB acc + 1 KiB plane).
-    std::size_t face_block{1024};
-    /// Batches below this size run on the caller; pool fan-out overhead
-    /// would exceed the matching work.
-    std::size_t min_parallel_batch{16};
-  };
+  using Config = BatchMatcherConfig;
 
-  /// Builds the SoA table from `map` (throws std::invalid_argument on
-  /// null). `pool` serves every subsequent match() fan-out. (Two
-  /// overloads because a nested class's member initializers cannot feed
-  /// a default argument of the enclosing class.)
-  explicit BatchMatcher(std::shared_ptr<const FaceMap> map);
-  BatchMatcher(std::shared_ptr<const FaceMap> map, Config config,
-               ThreadPool& pool = ThreadPool::global());
-
-  /// Adopt a prebuilt SoA table (the zero-transposition handoff from
-  /// FaceMapBuilder::take_signature_table). Throws std::invalid_argument
-  /// when `map` is null or `table` disagrees with it in face count or
-  /// dimension. (Two overloads for the same nested-class reason.)
-  BatchMatcher(std::shared_ptr<const FaceMap> map, SignatureTable table);
-  BatchMatcher(std::shared_ptr<const FaceMap> map, SignatureTable table,
-               Config config, ThreadPool& pool = ThreadPool::global());
-
-  /// Share an already-built SoA table (e.g. a FaceMapCache entry): several
-  /// matchers over the same map then pay for one transposition total.
-  /// Same validation as the adopting constructors; throws on null table.
-  /// (Two overloads for the same nested-class reason.)
-  BatchMatcher(std::shared_ptr<const FaceMap> map,
-               std::shared_ptr<const SignatureTable> table);
-  BatchMatcher(std::shared_ptr<const FaceMap> map,
-               std::shared_ptr<const SignatureTable> table, Config config,
-               ThreadPool& pool = ThreadPool::global());
+  /// Match over `map`'s faces. `table` shares an already-built SoA table
+  /// (a Division's, e.g. a FaceMapCache entry or the zero-transposition
+  /// product of FaceMapBuilder): several matchers over one map then pay
+  /// for one transposition total. A null `table` transposes `map`.
+  /// `pool` serves every subsequent match() fan-out. Throws
+  /// std::invalid_argument when `map` is null or `table` disagrees with
+  /// it in face count or dimension.
+  explicit BatchMatcher(std::shared_ptr<const FaceMap> map,
+                        std::shared_ptr<const SignatureTable> table = nullptr,
+                        Config config = {}, ThreadPool& pool = ThreadPool::global());
 
   /// Localize every vector of `batch`; results[i] is the match of
   /// batch[i], each bit-identical to ExhaustiveMatcher::match.
@@ -88,6 +95,19 @@ class BatchMatcher {
   /// Algorithm 2 hill climb (steepest similarity ascent over neighbor
   /// links) consulting the SoA table; bit-identical to HeuristicMatcher.
   MatchResult climb(const SamplingVector& vd, FaceId start) const;
+
+  /// The localization rule (Algorithm 2 with the exhaustive retry) over
+  /// a batch: each request with a start face climbs from it, and a climb
+  /// whose similarity is at least `fallback_similarity` is kept. The
+  /// rest — cold requests and climbs below the floor — go through one
+  /// match() pass (descend() when a tier is attached), and a fallen-back
+  /// request keeps its climb unless the cold result is strictly better.
+  /// out[i] answers requests[i] (`out` is resized; reusing it across
+  /// calls recycles its buffers); no result depends on the batch's
+  /// composition. Counts fallbacks into the localizer.fallback.won /
+  /// localizer.fallback.kept_climb counters.
+  void localize(std::span<const LocalizeRequest> requests, double fallback_similarity,
+                std::vector<Localized>& out) const;
 
   /// Per-face similarities of `vd` in one blocked SoA pass: `out` must
   /// hold padded_faces() doubles; entries [0, face_count()) are filled
@@ -146,6 +166,9 @@ class BatchMatcher {
  private:
   struct BatchState;
   struct DescentScratch;
+
+  /// match() over borrowed vectors (the batch the localize rule gathers).
+  std::vector<MatchResult> match_each(std::span<const SamplingVector* const> batch) const;
 
   /// Accumulate distance^2 of `vd` over all face columns into `acc`
   /// (padded_faces() doubles of scratch) and select the result.

@@ -738,6 +738,30 @@ SignatureTable FaceMapBuilder::take_signature_table() {
   return taken;
 }
 
+Division FaceMapBuilder::take_division(bool tiered, const Division* prev) {
+  Division d;
+  d.map = std::make_shared<const FaceMap>(build());
+  if (tiered) {
+    // The tier comes off the stored table, so it precedes the take below.
+    if (prev && prev->hier) {
+      const DivisionDelta delta = delta_since(*prev->map, *d.map);
+      if (delta.valid) {
+        HierPatchReport report;
+        d.hier = std::make_shared<const HierFaceMap>(
+            patch_hierarchy(*prev->hier, delta, &report));
+        if (report.structure_matched)
+          d.index = std::make_shared<const SignatureIndex>(
+              SignatureIndex::patched(*d.hier, *prev->index, delta, report, *pool_));
+      }
+    }
+    if (!d.hier) d.hier = std::make_shared<const HierFaceMap>(build_hierarchy());
+    if (!d.index)
+      d.index = std::make_shared<const SignatureIndex>(SignatureIndex::build(*d.hier, *pool_));
+  }
+  d.table = std::make_shared<const SignatureTable>(take_signature_table());
+  return d;
+}
+
 HierFaceMap FaceMapBuilder::build_hierarchy() const {
   if (!table_)
     throw std::logic_error(

@@ -49,6 +49,7 @@
 #include <vector>
 
 #include "common/vec2.hpp"
+#include "core/division.hpp"
 #include "core/division_delta.hpp"
 #include "core/facemap.hpp"
 #include "core/hier_facemap.hpp"
@@ -115,6 +116,16 @@ class FaceMapBuilder {
   /// table; throws std::logic_error before the first build() or when
   /// called twice without an intervening build().
   SignatureTable take_signature_table();
+
+  /// The division of the current active set: build(), then — when
+  /// `tiered` — the coarse tier and its index, then the table. The tier
+  /// is patched along delta_since() (patch_hierarchy +
+  /// SignatureIndex::patched) when `prev` is this builder's previous
+  /// product, carries a tier, and the delta connects; otherwise it is
+  /// built from scratch. Bit-identical either way. Pass no `prev` to
+  /// force the wholesale path. Consumes the stored table like
+  /// take_signature_table(). The one place a Division is assembled.
+  Division take_division(bool tiered, const Division* prev = nullptr);
 
   /// Reusable build products for the rebuild-into path: the map and table
   /// a build_into() call overwrites in place. First use starts empty;

@@ -45,13 +45,13 @@ std::string FaceMapCache::make_key(const Deployment& nodes, double C,
   return key;
 }
 
-FaceMapCache::Entry FaceMapCache::get_or_build(const Deployment& nodes, double C,
-                                               const Aabb& field, double cell_size,
-                                               ThreadPool& pool) {
+Division FaceMapCache::get_or_build(const Deployment& nodes, double C,
+                                     const Aabb& field, double cell_size,
+                                     ThreadPool& pool) {
   const std::string key = make_key(nodes, C, field, cell_size);
 
-  std::promise<Entry> promise;
-  std::shared_future<Entry> existing;
+  std::promise<Division> promise;
+  std::shared_future<Division> existing;
   bool hit = false;
   std::size_t hit_rate_pct = 0;
   {
@@ -92,19 +92,9 @@ FaceMapCache::Entry FaceMapCache::get_or_build(const Deployment& nodes, double C
   try {
     FTTT_OBS_SPAN("facemap.cache.build");
     FaceMapBuilder builder(nodes, C, field, cell_size, pool);
-    Entry entry;
-    entry.map = std::make_shared<const FaceMap>(builder.build());
-    // The coarse tier must come off the builder before the take below
-    // consumes the stored table; the index then derives from the tier
-    // alone. Both are one streaming pass — cheap against the division.
-    entry.hier = std::make_shared<const HierFaceMap>(builder.build_hierarchy());
-    entry.index =
-        std::make_shared<const SignatureIndex>(SignatureIndex::build(*entry.hier, pool));
-    entry.table =
-        std::make_shared<const SignatureTable>(builder.take_signature_table());
+    const Division entry = builder.take_division(/*tiered=*/true);
     promise.set_value(entry);
-    const std::size_t entry_bytes = entry.map->bytes() + entry.table->bytes() +
-                                    entry.hier->bytes() + entry.index->bytes();
+    const std::size_t entry_bytes = entry.bytes();
     std::size_t resident;
     {
       std::lock_guard<std::mutex> lock(mu_);

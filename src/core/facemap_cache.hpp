@@ -8,7 +8,12 @@
 // positions, the ratio constant, the field extent and the grid cell
 // size, byte-serialized so two configurations share an entry exactly
 // when FaceMap::build would produce bit-identical output — and hands
-// out shared, immutable {FaceMap, SignatureTable} pairs. With the
+// out shared, immutable Divisions (core/division.hpp): the face map, its
+// SoA signature table (BatchMatcher / FtttTracker adopt it without
+// re-transposing), and the coarse descent tier plus index over it
+// (BatchMatcher::attach_hierarchy shares them across matchers). The
+// tier derives deterministically from the table, so the content key
+// covers it — same key, same coarse masks. With the
 // cache, a Table-1-style sweep builds each unique map once instead of
 // once per trial.
 //
@@ -35,10 +40,7 @@
 #include <unordered_map>
 
 #include "common/vec2.hpp"
-#include "core/facemap.hpp"
-#include "core/hier_facemap.hpp"
-#include "core/signature_index.hpp"
-#include "core/signature_table.hpp"
+#include "core/division.hpp"
 #include "net/sensor.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -46,19 +48,6 @@ namespace fttt {
 
 class FaceMapCache {
  public:
-  /// One cached division: the face map, its SoA signature table
-  /// (BatchMatcher / FtttTracker adopt the table without
-  /// re-transposing), and the coarse descent tier over it
-  /// (BatchMatcher::attach_hierarchy shares it across matchers). The
-  /// tier derives deterministically from the table, so the existing
-  /// content key covers it — same key, same coarse masks.
-  struct Entry {
-    std::shared_ptr<const FaceMap> map;
-    std::shared_ptr<const SignatureTable> table;
-    std::shared_ptr<const HierFaceMap> hier;
-    std::shared_ptr<const SignatureIndex> index;
-  };
-
   struct Stats {
     std::size_t hits{0};       ///< lookups served from an existing entry
     std::size_t misses{0};     ///< lookups that triggered a build
@@ -86,13 +75,13 @@ class FaceMapCache {
   FaceMapCache& operator=(const FaceMapCache&) = delete;
 
   /// Return the division of `field` by `nodes` with ratio constant `C`
-  /// and grid cell `cell_size`, building it (once, via FaceMapBuilder on
-  /// `pool`) on first use. Bit-identical to FaceMap::build by the
-  /// builder's equivalence contract. A failed build is not cached; the
-  /// exception propagates to every caller waiting on that key and the
-  /// next lookup retries.
-  Entry get_or_build(const Deployment& nodes, double C, const Aabb& field,
-                     double cell_size, ThreadPool& pool = ThreadPool::global());
+  /// and grid cell `cell_size`, building it (once, tiered, via
+  /// FaceMapBuilder::take_division on `pool`) on first use.
+  /// Bit-identical to FaceMap::build by the builder's equivalence
+  /// contract. A failed build is not cached; the exception propagates to
+  /// every caller waiting on that key and the next lookup retries.
+  Division get_or_build(const Deployment& nodes, double C, const Aabb& field,
+                        double cell_size, ThreadPool& pool = ThreadPool::global());
 
   Stats stats() const;
 
@@ -113,7 +102,7 @@ class FaceMapCache {
 
   const std::size_t capacity_;
   mutable std::mutex mu_;
-  std::unordered_map<std::string, std::shared_future<Entry>> entries_;
+  std::unordered_map<std::string, std::shared_future<Division>> entries_;
   std::deque<std::string> order_;  ///< FIFO of live keys, oldest first
   /// Bytes of each completed entry still indexed (see Stats::bytes).
   std::unordered_map<std::string, std::size_t> entry_bytes_;

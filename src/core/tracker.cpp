@@ -1,15 +1,12 @@
 #include "core/tracker.hpp"
 
+#include <span>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/obs.hpp"
 
 namespace fttt {
-
-FtttTracker::FtttTracker(std::shared_ptr<const FaceMap> map, Config config)
-    : map_(std::move(map)), config_(config), batch_(map_) {
-  if (config_.hierarchical) batch_.build_hierarchy();
-}
 
 FtttTracker::FtttTracker(std::shared_ptr<const FaceMap> map, Config config,
                          std::shared_ptr<const SignatureTable> table)
@@ -29,26 +26,26 @@ TrackEstimate FtttTracker::localize(const SamplingVector& vd) {
 
   // Both paths run on the SoA signature table (bit-identical to the
   // scalar reference matchers, see core/batch_matcher.hpp).
-  MatchResult result;
+  LocalizeRequest request{&vd, std::nullopt};
   if (config_.use_heuristic) {
     // Warm start from the previous localization when available; a cold
     // start begins at the field-center face (Algorithm 2's
     // Initialization()).
-    const FaceId start =
+    request.start =
         previous_face_.value_or(map_->face_at(map_->grid().extent().center()));
     FTTT_OBS_COUNT("tracker.climb.calls", 1);
-    result = batch_.climb(vd, start);
-    if (result.similarity < config_.fallback_similarity) {
-      const MatchResult full = batch_.match_one(vd);
-      stats_.faces_examined += full.faces_examined;
-      ++stats_.fallbacks;
-      FTTT_OBS_COUNT("tracker.fallbacks", 1);
-      if (full.similarity > result.similarity) result = full;
-    }
   } else {
     FTTT_OBS_COUNT("tracker.exhaustive.calls", 1);
-    result = batch_.match_one(vd);
   }
+  std::vector<Localized> out;
+  batch_.localize(std::span<const LocalizeRequest>(&request, 1), config_.fallback_similarity,
+                  out);
+  const Localized& localized = out.front();
+  if (localized.fell_back) {
+    ++stats_.fallbacks;
+    FTTT_OBS_COUNT("tracker.fallbacks", 1);
+  }
+  const MatchResult& result = localized.match;
 
   ++stats_.localizations;
   stats_.faces_examined += result.faces_examined;

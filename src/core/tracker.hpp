@@ -49,16 +49,17 @@ class FtttTracker {
   /// Work counters for the complexity experiments.
   struct Stats {
     std::size_t localizations{0};
-    std::size_t faces_examined{0};  ///< total across localizations
+    /// Total across localizations; a fallback counts its climb and its
+    /// exhaustive pass.
+    std::size_t faces_examined{0};
     std::size_t fallbacks{0};       ///< heuristic -> exhaustive retries
   };
 
-  FtttTracker(std::shared_ptr<const FaceMap> map, Config config);
-
-  /// Cache-aware construction: share a prebuilt signature table (e.g. a
-  /// FaceMapCache entry) instead of transposing `map` again.
+  /// Track over `map`. `table` shares a prebuilt signature table (a
+  /// Division's, e.g. a FaceMapCache entry) instead of transposing `map`
+  /// again; BatchMatcher's constructor validates both.
   FtttTracker(std::shared_ptr<const FaceMap> map, Config config,
-              std::shared_ptr<const SignatureTable> table);
+              std::shared_ptr<const SignatureTable> table = nullptr);
 
   /// Localize the target from one grouping sampling; updates the warm
   /// start for the next call.
@@ -67,7 +68,10 @@ class FtttTracker {
   /// Localize from an already-built sampling vector (the epoch pipeline
   /// precomputes vectors in parallel; this entry consumes them in epoch
   /// order). Identical to localize(group) after its vector build — same
-  /// climb, fallback, stats and warm-start behaviour.
+  /// climb, fallback, stats and warm-start behaviour. A batch of one
+  /// through BatchMatcher::localize: the heuristic climbs from the
+  /// previous face (the field-center face on a cold start); exhaustive
+  /// mode sends no start face.
   TrackEstimate localize(const SamplingVector& vd);
 
   /// Localize a frame of independent sampling epochs (multi-target

@@ -34,24 +34,16 @@ TrackManagerFleet::TrackManagerFleet(Deployment roster, double C, const Aabb& fi
 
   builder_ = std::make_unique<FaceMapBuilder>(roster_, C, field, cell_size, pool);
   if (cache) {
-    const FaceMapCache::Entry entry =
-        cache->get_or_build(roster_, C, field, cell_size, pool);
-    map_ = entry.map;
-    table_ = entry.table;
+    division_ = cache->get_or_build(roster_, C, field, cell_size, pool);
     // The cache entry always carries the coarse tier; the fleet hands it
     // to shards only in hierarchical mode so flat fleets keep the flat
     // SoA sweep.
-    if (config_.track.hierarchical) {
-      hier_ = entry.hier;
-      index_ = entry.index;
+    if (!config_.track.hierarchical) {
+      division_.hier.reset();
+      division_.index.reset();
     }
   } else {
-    map_ = std::make_shared<const FaceMap>(builder_->build());
-    if (config_.track.hierarchical)
-      hier_ = std::make_shared<const HierFaceMap>(builder_->build_hierarchy());
-    table_ = std::make_shared<const SignatureTable>(builder_->take_signature_table());
-    if (config_.track.hierarchical)
-      index_ = std::make_shared<const SignatureIndex>(SignatureIndex::build(*hier_, pool));
+    division_ = builder_->take_division(config_.track.hierarchical);
   }
   members_ = alive_members(*builder_);
   alive_.assign(roster_.size(), 1);
@@ -60,7 +52,7 @@ TrackManagerFleet::TrackManagerFleet(Deployment roster, double C, const Aabb& fi
   shards_.reserve(config_.shards);
   for (std::size_t s = 0; s < config_.shards; ++s) {
     shards_.push_back(std::make_unique<TrackShard>(config_.track, pool));
-    shards_.back()->adopt_division(map_, table_, members_, hier_, index_);
+    shards_.back()->adopt_division(division_, members_);
   }
   route_frames_.resize(config_.shards);
   route_slots_.resize(config_.shards);
@@ -162,39 +154,9 @@ std::vector<TrackUpdate> TrackManagerFleet::tick() {
   return updates;
 }
 
-void TrackManagerFleet::adopt_rebuilt_division() {
-  const std::uint64_t t0 = FTTT_OBS_NOW_NS();
-  map_ = std::make_shared<const FaceMap>(builder_->build());
-  // The tier comes off the builder *before* take_signature_table
-  // consumes the stored table; one tier/index per division, shared
-  // across every shard.
-  if (config_.track.hierarchical)
-    hier_ = std::make_shared<const HierFaceMap>(builder_->build_hierarchy());
-  table_ = std::make_shared<const SignatureTable>(builder_->take_signature_table());
-  if (config_.track.hierarchical)
-    index_ = std::make_shared<const SignatureIndex>(SignatureIndex::build(*hier_, *pool_));
-  members_ = alive_members(*builder_);
-  for (const std::unique_ptr<TrackShard>& shard : shards_)
-    shard->adopt_division(map_, table_, members_, hier_, index_);
-  ++rebuilds_;
-  FTTT_OBS_COUNT("serve.rebuilds", 1);
-  const std::uint64_t t1 = FTTT_OBS_NOW_NS();
-  if (t1 > t0)
-    FTTT_OBS_HIST("serve.rebuild.latency", "us",
-                  static_cast<double>(t1 - t0) / 1000.0);
-}
-
 void TrackManagerFleet::on_churn(NodeId id, bool fail) {
   ++churn_events_;
   FTTT_OBS_COUNT("serve.churn_events", 1);
-  if (!config_.async_rebuild) {
-    if (fail)
-      builder_->deactivate(id);
-    else
-      builder_->activate(id);
-    adopt_rebuilt_division();
-    return;
-  }
   pending_ops_.emplace_back(id, fail);
   maybe_launch_rebuild();
 }
@@ -220,52 +182,19 @@ void TrackManagerFleet::maybe_launch_rebuild() {
   }
   // Pin the served division for the delta/patch path: the task must not
   // read fleet members the service thread may swap under it.
-  std::shared_ptr<const FaceMap> prev_map = map_;
-  std::shared_ptr<const HierFaceMap> prev_hier = hier_;
-  std::shared_ptr<const SignatureIndex> prev_index = index_;
-  const bool submitted = pool_->submit(
-      [this, prev_map = std::move(prev_map), prev_hier = std::move(prev_hier),
-       prev_index = std::move(prev_index)]() mutable {
-        run_rebuild(std::move(prev_map), std::move(prev_hier),
-                    std::move(prev_index));
-      });
+  const bool submitted =
+      pool_->submit([this, prev = division_] { run_rebuild(prev); });
   if (!submitted) {
     // Pool already shut down: run inline so the division still lands.
-    run_rebuild(map_, hier_, index_);
+    run_rebuild(division_);
   }
 }
 
-void TrackManagerFleet::run_rebuild(std::shared_ptr<const FaceMap> prev_map,
-                                    std::shared_ptr<const HierFaceMap> prev_hier,
-                                    std::shared_ptr<const SignatureIndex> prev_index) {
+void TrackManagerFleet::run_rebuild(const Division& prev) {
   const std::uint64_t t0 = FTTT_OBS_NOW_NS();
   PendingDivision p;
-  std::shared_ptr<const FaceMap> map =
-      std::make_shared<const FaceMap>(builder_->build());
-  if (config_.track.hierarchical) {
-    std::shared_ptr<const HierFaceMap> hier;
-    std::shared_ptr<const SignatureIndex> index;
-    if (config_.patch_division && prev_map && prev_hier) {
-      const DivisionDelta delta = builder_->delta_since(*prev_map, *map);
-      if (delta.valid) {
-        HierPatchReport report;
-        hier = std::make_shared<const HierFaceMap>(
-            builder_->patch_hierarchy(*prev_hier, delta, &report));
-        if (report.structure_matched && prev_index)
-          index = std::make_shared<const SignatureIndex>(
-              SignatureIndex::patched(*hier, *prev_index, delta, report, *pool_));
-      }
-    }
-    if (!hier)
-      hier = std::make_shared<const HierFaceMap>(builder_->build_hierarchy());
-    if (!index)
-      index = std::make_shared<const SignatureIndex>(
-          SignatureIndex::build(*hier, *pool_));
-    p.hier = std::move(hier);
-    p.index = std::move(index);
-  }
-  p.table = std::make_shared<const SignatureTable>(builder_->take_signature_table());
-  p.map = std::move(map);
+  p.division = builder_->take_division(config_.track.hierarchical,
+                                       config_.patch_division ? &prev : nullptr);
   p.members = alive_members(*builder_);
   const std::uint64_t t1 = FTTT_OBS_NOW_NS();
   p.latency_ns = t1 > t0 ? t1 - t0 : 0;
@@ -290,13 +219,10 @@ bool TrackManagerFleet::maybe_adopt_ready() {
     pending_ = PendingDivision{};
     rebuild_ready_ = false;
   }
-  map_ = std::move(p.map);
-  table_ = std::move(p.table);
-  hier_ = std::move(p.hier);
-  index_ = std::move(p.index);
+  division_ = std::move(p.division);
   members_ = std::move(p.members);
   for (const std::unique_ptr<TrackShard>& shard : shards_)
-    shard->adopt_division(map_, table_, members_, hier_, index_);
+    shard->adopt_division(division_, members_);
   ++rebuilds_;
   FTTT_OBS_COUNT("serve.rebuilds", 1);
   if (p.latency_ns > 0)
@@ -348,8 +274,10 @@ TrackManagerFleet::Stats TrackManagerFleet::stats() const {
   s.ticks = ticks_;
   s.rebuilds = rebuilds_;
   s.churn_events = churn_events_;
-  for (const std::unique_ptr<TrackShard>& shard : shards_)
+  for (const std::unique_ptr<TrackShard>& shard : shards_) {
     s.tracks += shard->track_count();
+    s.fallbacks += shard->fallbacks();
+  }
   s.queue_depth = queue_.size();
   return s;
 }
@@ -361,7 +289,8 @@ SerialReplay::SerialReplay(TrackShard::Config config,
                            std::shared_ptr<const SignatureTable> table,
                            std::vector<NodeId> members, ThreadPool& pool)
     : shard_(config, pool) {
-  shard_.adopt_division(std::move(map), std::move(table), std::move(members));
+  shard_.adopt_division(Division{std::move(map), std::move(table), nullptr, nullptr},
+                        std::move(members));
 }
 
 void SerialReplay::adopt_division(std::shared_ptr<const FaceMap> map,
@@ -369,8 +298,9 @@ void SerialReplay::adopt_division(std::shared_ptr<const FaceMap> map,
                                   std::vector<NodeId> members,
                                   std::shared_ptr<const HierFaceMap> hier,
                                   std::shared_ptr<const SignatureIndex> index) {
-  shard_.adopt_division(std::move(map), std::move(table), std::move(members),
-                        std::move(hier), std::move(index));
+  shard_.adopt_division(
+      Division{std::move(map), std::move(table), std::move(hier), std::move(index)},
+      std::move(members));
 }
 
 TrackUpdate SerialReplay::process(const ReportFrame& frame) {

@@ -18,22 +18,22 @@
 //
 // Deployment churn (net/faults.hpp fail/revive semantics) happens live,
 // with tracks *held*: fail_node()/revive_node() flip the fleet's alive
-// set and (by default) enqueue the division rebuild onto the pool — the
-// service path returns in microseconds while the rebuild runs off-thread
-// behind a double buffer. Ticks keep resolving on the old division until
+// set and enqueue the division rebuild onto the pool — the service path
+// returns in microseconds while the rebuild runs off-thread behind a
+// double buffer. Ticks keep resolving on the old division until
 // the new one is complete; the swap happens at the next tick() boundary
-// (tracks never see a half-built division). The rebuild itself is
-// incremental end to end: the FaceMapBuilder's cached planes mean a
-// fail/revive re-rasterizes nothing once warm, and in hierarchical mode
-// the coarse tier and its index are *patched* along the churn delta
-// (HierFaceMap::patched / SignatureIndex::patched) instead of rebuilt.
+// (tracks never see a half-built division). The rebuild is
+// FaceMapBuilder::take_division and incremental end to end: the
+// builder's cached planes mean a fail/revive re-rasterizes nothing once
+// warm, and in hierarchical mode the coarse tier and its index are
+// *patched* along the churn delta instead of rebuilt.
 // Events arriving while a rebuild is in flight coalesce into the next
 // one. Track slots are never dropped; their warm starts reset when the
 // new division is adopted because face ids do not survive a re-division,
 // and the next tick re-acquires through the batch pass.
-// Config::async_rebuild = false restores the synchronous adopt-on-return
-// semantics (deterministic single-call tooling); flush_rebuilds() gives
-// tests and drivers a barrier equivalent.
+// A caller that needs the new division now (tests, single-call tooling)
+// follows the churn call with flush_rebuilds(), the barrier that adopts
+// every pending rebuild before it returns.
 //
 // Determinism: the updates of tick() depend only on the frame stream
 // (per-track order) and the division schedule — never on shard count,
@@ -59,6 +59,7 @@
 #include <vector>
 
 #include "common/random.hpp"
+#include "core/division.hpp"
 #include "core/facemap_builder.hpp"
 #include "core/facemap_cache.hpp"
 #include "parallel/bounded_queue.hpp"
@@ -77,13 +78,10 @@ class TrackManagerFleet {
     std::size_t queue_capacity{4096};
     /// Per-tick drain bound; 0 = drain everything queued.
     std::size_t max_frames_per_tick{0};
-    /// Rebuild divisions off-thread behind the double buffer (see the
-    /// header note). False: fail_node()/revive_node() rebuild and adopt
-    /// synchronously before returning — the pre-async semantics.
-    bool async_rebuild{true};
     /// In hierarchical mode, patch the coarse tier/index along the churn
     /// delta instead of rebuilding from scratch (bit-identical either
-    /// way; false forces the from-scratch path for A/B benching).
+    /// way; false hands take_division no previous division, forcing the
+    /// from-scratch path for A/B benching).
     bool patch_division{true};
     TrackShard::Config track{};
   };
@@ -98,10 +96,13 @@ class TrackManagerFleet {
     std::uint64_t localizations{0};  ///< updates carrying an estimate
     std::uint64_t ticks{0};
     std::uint64_t rebuilds{0};       ///< divisions adopted after churn
-    /// Accepted fail/revive events. With async_rebuild, coalescing makes
-    /// rebuilds <= churn_events; they are equal in sync mode or after
-    /// flush_rebuilds() when every event got its own quiet window.
+    /// Accepted fail/revive events. Coalescing makes rebuilds <=
+    /// churn_events; they are equal when every event was followed by
+    /// flush_rebuilds().
     std::uint64_t churn_events{0};
+    /// Climbs below the fallback similarity that took the exhaustive
+    /// pass (the localizer.fallback.won + kept_climb counters sum to it).
+    std::uint64_t fallbacks{0};
     std::size_t tracks{0};           ///< live track slots (never shrinks)
     std::size_t queue_depth{0};      ///< at the time of the stats() call
   };
@@ -150,12 +151,11 @@ class TrackManagerFleet {
 
   // -- Deployment churn (service thread) ------------------------------------
 
-  /// Node failed: drop it from the division, tracks held. With
-  /// async_rebuild the call only flips the alive set and enqueues the
-  /// incremental rebuild (cached planes — a fail re-rasterizes nothing
-  /// once the builder is warm; hierarchical tiers patch along the
-  /// delta); ticks keep serving the old division until the new one is
-  /// adopted at a tick boundary. Returns false — and changes nothing —
+  /// Node failed: drop it from the division, tracks held. The call only
+  /// flips the alive set and enqueues the incremental rebuild (cached
+  /// planes — a fail re-rasterizes nothing once the builder is warm;
+  /// hierarchical tiers patch along the delta); ticks keep serving the
+  /// old division until the new one is adopted at a tick boundary. Returns false — and changes nothing —
   /// when the node is unknown, already failed, or fewer than two alive
   /// nodes would remain (refusal is decided instantly on the fleet's
   /// alive mirror, never blocked behind a rebuild).
@@ -167,9 +167,9 @@ class TrackManagerFleet {
 
   /// Drive pending rebuilds to completion and adopt them: waits for the
   /// in-flight task, adopts its division, and repeats until no churn
-  /// event remains unadopted. After it returns, map()/table()/... serve
+  /// event remains unadopted. After it returns, division() serves
   /// every accepted event and stats().rebuilds has counted them. No-op
-  /// in sync mode or when nothing is pending. Service thread only.
+  /// when nothing is pending. Service thread only.
   void flush_rebuilds();
 
   // -- Introspection --------------------------------------------------------
@@ -179,16 +179,11 @@ class TrackManagerFleet {
   std::size_t roster_size() const { return roster_.size(); }
   std::size_t alive_count() const;
 
-  /// The division currently served (shared across every shard).
-  std::shared_ptr<const FaceMap> map() const { return map_; }
-  std::shared_ptr<const SignatureTable> table() const { return table_; }
+  /// The division currently served (shared across every shard). Tiered
+  /// only with Config::track.hierarchical (one tier per division; hand
+  /// it to a SerialReplay to share the build).
+  const Division& division() const { return division_; }
   const std::vector<NodeId>& members() const { return members_; }
-
-  /// Coarse descent tier over the served division — null unless
-  /// Config::track.hierarchical (one tier per division, shared across
-  /// every shard; hand it to a SerialReplay to share the build).
-  std::shared_ptr<const HierFaceMap> hier() const { return hier_; }
-  std::shared_ptr<const SignatureIndex> index() const { return index_; }
 
  private:
   /// Shard routing: stable mix of the track id (dense and adversarial
@@ -197,12 +192,8 @@ class TrackManagerFleet {
     return static_cast<std::size_t>(splitmix64(track) % shards_.size());
   }
 
-  /// Re-derive the served division from the builder and hand it to the
-  /// shards (synchronous churn path).
-  void adopt_rebuilt_division();
-
-  /// One churn event accepted: queue the builder op and either rebuild
-  /// synchronously (async_rebuild off) or kick the off-thread pipeline.
+  /// One churn event accepted: queue the builder op and kick the
+  /// off-thread pipeline.
   void on_churn(NodeId id, bool fail);
 
   /// Launch the off-thread rebuild for the queued ops unless one is
@@ -211,13 +202,11 @@ class TrackManagerFleet {
   /// runs — the alive mirror answers refusal checks meanwhile).
   void maybe_launch_rebuild();
 
-  /// The rebuild task body: build map/table (+ patched tier/index in
-  /// hierarchical mode) and publish the result for the next tick
-  /// boundary. Runs on a pool worker (or inline when the pool is shut
-  /// down); `prev_*` pin the division being replaced for the delta path.
-  void run_rebuild(std::shared_ptr<const FaceMap> prev_map,
-                   std::shared_ptr<const HierFaceMap> prev_hier,
-                   std::shared_ptr<const SignatureIndex> prev_index);
+  /// The rebuild task body: take the next division off the builder and
+  /// publish it for the next tick boundary. Runs on a pool worker (or
+  /// inline when the pool is shut down); `prev` pins the division being
+  /// replaced for the delta path.
+  void run_rebuild(const Division& prev);
 
   /// Adopt a finished off-thread division, if any. Service thread only;
   /// called at every tick() boundary and by flush_rebuilds().
@@ -230,10 +219,7 @@ class TrackManagerFleet {
   BoundedQueue<ReportFrame> queue_;
   std::vector<std::unique_ptr<TrackShard>> shards_;
 
-  std::shared_ptr<const FaceMap> map_;
-  std::shared_ptr<const SignatureTable> table_;
-  std::shared_ptr<const HierFaceMap> hier_;      ///< hierarchical mode only
-  std::shared_ptr<const SignatureIndex> index_;  ///< hierarchical mode only
+  Division division_;             ///< tiered in hierarchical mode only
   std::vector<NodeId> members_;  ///< alive global ids, ascending
 
   // Fleet-side mirror of the builder's active set: fail/revive refusal
@@ -244,10 +230,7 @@ class TrackManagerFleet {
 
   /// A finished off-thread rebuild, waiting for the next tick boundary.
   struct PendingDivision {
-    std::shared_ptr<const FaceMap> map;
-    std::shared_ptr<const SignatureTable> table;
-    std::shared_ptr<const HierFaceMap> hier;
-    std::shared_ptr<const SignatureIndex> index;
+    Division division;
     std::vector<NodeId> members;
     std::uint64_t latency_ns{0};  ///< off-thread rebuild duration (obs on)
   };
@@ -294,10 +277,10 @@ class SerialReplay {
                std::vector<NodeId> members, ThreadPool& pool = ThreadPool::global());
 
   /// Mirror a churn event: serve a new division (warm starts reset,
-  /// tracks held — same semantics as the fleet's rebuild). `hier`/
-  /// `index` optionally share the fleet's tier (TrackShard rules:
-  /// both-or-neither; absent + hierarchical config → the shard builds
-  /// its own, bit-identical by the tier's determinism).
+  /// tracks held — same semantics as the fleet's rebuild). The parts
+  /// form a Division; `hier`/`index` optionally share the fleet's tier
+  /// (TrackShard rules: both-or-neither; absent + hierarchical config →
+  /// the shard builds its own, bit-identical by the tier's determinism).
   void adopt_division(std::shared_ptr<const FaceMap> map,
                       std::shared_ptr<const SignatureTable> table,
                       std::vector<NodeId> members,

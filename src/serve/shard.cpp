@@ -15,29 +15,25 @@ TrackShard::TrackShard(Config config, ThreadPool& pool)
     throw std::invalid_argument("TrackShard: min_reporting < 2 (a lone column orders no pair)");
 }
 
-void TrackShard::adopt_division(std::shared_ptr<const FaceMap> map,
-                                std::shared_ptr<const SignatureTable> table,
-                                std::vector<NodeId> members,
-                                std::shared_ptr<const HierFaceMap> hier,
-                                std::shared_ptr<const SignatureIndex> index) {
-  if (!map || !table)
+void TrackShard::adopt_division(Division division, std::vector<NodeId> members) {
+  if (!division.map || !division.table)
     throw std::invalid_argument("TrackShard::adopt_division: null map/table");
-  if (static_cast<bool>(hier) != static_cast<bool>(index))
+  if (static_cast<bool>(division.hier) != static_cast<bool>(division.index))
     throw std::invalid_argument(
         "TrackShard::adopt_division: hier/index must come together");
-  if (members.size() != map->nodes().size())
+  if (members.size() != division.map->nodes().size())
     throw std::invalid_argument(
         "TrackShard::adopt_division: member count != division deployment");
   if (!std::is_sorted(members.begin(), members.end()) ||
       std::adjacent_find(members.begin(), members.end()) != members.end())
     throw std::invalid_argument(
         "TrackShard::adopt_division: members must be strictly ascending");
-  map_ = std::move(map);
-  table_ = std::move(table);
   members_ = std::move(members);
-  matcher_ = std::make_unique<BatchMatcher>(map_, table_, BatchMatcher::Config{}, *pool_);
-  if (hier)
-    matcher_->attach_hierarchy(std::move(hier), std::move(index));
+  matcher_ = std::make_unique<BatchMatcher>(std::move(division.map),
+                                            std::move(division.table),
+                                            BatchMatcher::Config{}, *pool_);
+  if (division.hier)
+    matcher_->attach_hierarchy(std::move(division.hier), std::move(division.index));
   else if (config_.hierarchical)
     matcher_->build_hierarchy();
   // Face ids are an artifact of the division: a track's previous face
@@ -47,10 +43,10 @@ void TrackShard::adopt_division(std::shared_ptr<const FaceMap> map,
   for (TrackSlot& slot : slots_) slot.warm.reset();
 }
 
-TrackShard::TrackSlot& TrackShard::slot_for(TrackId track) {
+std::size_t TrackShard::slot_for(TrackId track) {
   const auto [it, inserted] = index_.try_emplace(track, slots_.size());
-  if (inserted) slots_.push_back(TrackSlot{track, std::nullopt, 0});
-  return slots_[it->second];
+  if (inserted) slots_.push_back(TrackSlot{track, std::nullopt, 0, 0, 0});
+  return it->second;
 }
 
 GroupingSampling TrackShard::project(const GroupingSampling& group) const {
@@ -68,30 +64,35 @@ void TrackShard::resolve(std::span<const ReportFrame* const> frames, TrackUpdate
   FTTT_CHECK(matcher_ != nullptr, "TrackShard::resolve before adopt_division");
   FTTT_OBS_SPAN("serve.shard.resolve");
 
-  // Residue of phase 1: frames whose vector needs the exhaustive pass
-  // (cold tracks and poor climbs, with the climb result kept so the
-  // better of the two wins — FtttTracker's fallback rule).
-  struct Pending {
-    std::size_t frame;                  ///< index into frames/out
-    std::optional<MatchResult> climbed; ///< set when a fallback retry
-  };
-  std::vector<SamplingVector> batch;
-  std::vector<Pending> pending;
-
-  const auto commit = [&](std::size_t i, TrackSlot& slot, const MatchResult& r,
-                          bool warm) {
-    out[i].estimate = TrackEstimate{r.position, r.face, r.similarity};
-    out[i].warm = warm;
-    slot.warm = r.face;
-    ++slot.localizations;
-    ++localizations_;
-  };
-
+  // Round of each frame: how many frames of its track precede it in
+  // this call.
+  ++ticks_;
+  std::vector<std::size_t> slot(frames.size());
+  std::vector<std::uint32_t> round_of(frames.size());
+  std::uint32_t rounds = 0;
   for (std::size_t i = 0; i < frames.size(); ++i) {
+    slot[i] = slot_for(frames[i]->track);
+    TrackSlot& s = slots_[slot[i]];
+    if (s.tick != ticks_) {
+      s.tick = ticks_;
+      s.tick_frames = 0;
+    }
+    round_of[i] = s.tick_frames++;
+    rounds = std::max(rounds, s.tick_frames);
+  }
+  for (std::uint32_t r = 0; r < rounds; ++r) resolve_round(frames, slot, round_of, r, out);
+}
+
+void TrackShard::resolve_round(std::span<const ReportFrame* const> frames,
+                               const std::vector<std::size_t>& slot,
+                               const std::vector<std::uint32_t>& round_of,
+                               std::uint32_t round, TrackUpdate* out) {
+  std::vector<std::size_t> which;  // vds_[k] is frames[which[k]]'s vector
+  which.reserve(frames.size());
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    if (round_of[i] != round) continue;
     const ReportFrame& frame = *frames[i];
-    TrackUpdate& update = out[i];
-    update = TrackUpdate{frame.track, frame.epoch, std::nullopt, false};
-    TrackSlot& slot = slot_for(frame.track);
+    out[i] = TrackUpdate{frame.track, frame.epoch, std::nullopt, false};
 
     const bool identity = members_.size() == frame.group.node_count();
     const GroupingSampling projected = identity ? GroupingSampling{} : project(frame.group);
@@ -101,42 +102,37 @@ void TrackShard::resolve(std::span<const ReportFrame* const> frames, TrackUpdate
     // information; do not feed the matcher noise, and cold-start the
     // next climb (the track may have moved arbitrarily meanwhile).
     if (group.reporting_count() < config_.min_reporting) {
-      slot.warm.reset();
+      slots_[slot[i]].warm.reset();
       continue;
     }
-
-    SamplingVector vd =
+    if (which.size() == vds_.size()) vds_.emplace_back();
+    vds_[which.size()] =
         build_sampling_vector(group, config_.eps, config_.mode, config_.missing);
-    if (slot.warm) {
-      ++climbs_;
-      const MatchResult climbed = matcher_->climb(vd, *slot.warm);
-      if (climbed.similarity >= config_.fallback_similarity) {
-        commit(i, slot, climbed, /*warm=*/true);
-        continue;
-      }
-      ++fallbacks_;
-      pending.push_back({i, climbed});
-    } else {
-      pending.push_back({i, std::nullopt});
-    }
-    batch.push_back(std::move(vd));
+    which.push_back(i);
   }
+  if (which.empty()) return;
 
-  if (batch.empty()) return;
-  FTTT_OBS_HIST("serve.shard.batch", "vectors", batch.size());
+  std::vector<LocalizeRequest> requests(which.size());
+  for (std::size_t k = 0; k < which.size(); ++k)
+    requests[k] = LocalizeRequest{&vds_[k], slots_[slot[which[k]]].warm};
+  matcher_->localize(requests, config_.fallback_similarity, localized_);
 
-  // Phase 2: the whole residue in one blocked SoA pass.
-  const std::vector<MatchResult> matches = matcher_->match(batch);
-  for (std::size_t k = 0; k < pending.size(); ++k) {
-    const MatchResult& full = matches[k];
-    // FtttTracker::localize(SamplingVector): the exhaustive retry wins
-    // only when strictly better than the climb it fell back from.
-    const bool keep_climb =
-        pending[k].climbed && !(full.similarity > pending[k].climbed->similarity);
-    const MatchResult& r = keep_climb ? *pending[k].climbed : full;
-    commit(pending[k].frame, slot_for(frames[pending[k].frame]->track), r,
-           /*warm=*/false);
+  std::size_t residue = 0;
+  for (std::size_t k = 0; k < which.size(); ++k) {
+    const Localized& l = localized_[k];
+    const MatchResult& r = l.match;
+    TrackSlot& s = slots_[slot[which[k]]];
+    if (requests[k].start) ++climbs_;
+    if (l.fell_back) ++fallbacks_;
+    if (!l.warm) ++residue;
+    TrackUpdate& update = out[which[k]];
+    update.estimate = TrackEstimate{r.position, r.face, r.similarity};
+    update.warm = l.warm;
+    s.warm = r.face;
+    ++s.localizations;
+    ++localizations_;
   }
+  if (residue > 0) FTTT_OBS_HIST("serve.shard.batch", "vectors", residue);
 }
 
 }  // namespace fttt

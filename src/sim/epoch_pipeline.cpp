@@ -31,23 +31,14 @@ struct EpochPrecompute {
   std::vector<double> pm_scores;     ///< per-face similarities for PM
 };
 
-struct Entry {
-  std::shared_ptr<const FaceMap> map;
-  std::shared_ptr<const SignatureTable> table;
-};
-
 /// Fetch a division through the cache when one is given, otherwise build
-/// it locally exactly like run_tracking does.
-Entry obtain_map(const Deployment& nodes, double C, const ScenarioConfig& cfg,
-                 ThreadPool& pool, FaceMapCache* cache) {
-  if (cache) {
-    FaceMapCache::Entry e = cache->get_or_build(nodes, C, cfg.field, cfg.grid_cell, pool);
-    return Entry{std::move(e.map), std::move(e.table)};
-  }
+/// it locally (flat) exactly like run_tracking does.
+Division obtain_map(const Deployment& nodes, double C, const ScenarioConfig& cfg,
+                    ThreadPool& pool, FaceMapCache* cache) {
+  if (cache) return cache->get_or_build(nodes, C, cfg.field, cfg.grid_cell, pool);
   FTTT_OBS_SPAN("sim.facemap.build");
   FaceMapBuilder builder(nodes, C, cfg.field, cfg.grid_cell, pool);
-  return Entry{std::make_shared<const FaceMap>(builder.build()),
-               std::make_shared<const SignatureTable>(builder.take_signature_table())};
+  return builder.take_division(/*tiered=*/false);
 }
 
 }  // namespace
@@ -73,7 +64,7 @@ TrackingResult run_tracking_pipelined(const ScenarioConfig& cfg,
   });
   const bool needs_pm = std::any_of(methods.begin(), methods.end(),
                                     [](Method m) { return m == Method::kPathMatching; });
-  Entry uncertain, bisector;
+  Division uncertain, bisector;
   if (needs_uncertain) uncertain = obtain_map(nodes, channel.C, cfg, pool, cache);
   if (needs_bisector) bisector = obtain_map(nodes, 1.0, cfg, pool, cache);
 

@@ -195,7 +195,8 @@ TEST(FaceMapBuilder, BatchMatcherAdoptsTableZeroTransposition) {
   const Deployment nodes = random_deployment(kField, 5, rng);
   FaceMapBuilder builder(nodes, 4.0, kField, kCell);
   auto map = std::make_shared<const FaceMap>(builder.build());
-  const BatchMatcher adopted(map, builder.take_signature_table());
+  const BatchMatcher adopted(
+      map, std::make_shared<const SignatureTable>(builder.take_signature_table()));
   const BatchMatcher rebuilt(map);
 
   SamplingVector vd;
@@ -214,8 +215,9 @@ TEST(FaceMapBuilder, BatchMatcherAdoptsTableZeroTransposition) {
   // A table that disagrees with the map is rejected.
   FaceMapBuilder other(random_deployment(kField, 7, rng), 4.0, kField, kCell);
   other.build();
-  EXPECT_THROW(BatchMatcher(map, other.take_signature_table()),
-               std::invalid_argument);
+  EXPECT_THROW(
+      BatchMatcher(map, std::make_shared<const SignatureTable>(other.take_signature_table())),
+      std::invalid_argument);
 }
 
 TEST(FaceMapBuilder, FaceAtOutsideFieldThrows) {

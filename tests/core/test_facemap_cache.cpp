@@ -18,8 +18,8 @@ Deployment four_nodes() {
 
 TEST(FaceMapCache, HitSharesTheEntry) {
   FaceMapCache cache;
-  const FaceMapCache::Entry a = cache.get_or_build(four_nodes(), 1.2, kField, 1.0);
-  const FaceMapCache::Entry b = cache.get_or_build(four_nodes(), 1.2, kField, 1.0);
+  const Division a = cache.get_or_build(four_nodes(), 1.2, kField, 1.0);
+  const Division b = cache.get_or_build(four_nodes(), 1.2, kField, 1.0);
   EXPECT_EQ(a.map.get(), b.map.get());
   EXPECT_EQ(a.table.get(), b.table.get());
   const FaceMapCache::Stats stats = cache.stats();
@@ -31,7 +31,7 @@ TEST(FaceMapCache, HitSharesTheEntry) {
 
 TEST(FaceMapCache, EntryMatchesDirectBuild) {
   FaceMapCache cache;
-  const FaceMapCache::Entry e = cache.get_or_build(four_nodes(), 1.2, kField, 1.0);
+  const Division e = cache.get_or_build(four_nodes(), 1.2, kField, 1.0);
   const FaceMap direct = FaceMap::build(four_nodes(), 1.2, kField, 1.0);
   ASSERT_TRUE(e.map);
   ASSERT_TRUE(e.table);
@@ -47,15 +47,15 @@ TEST(FaceMapCache, EntryMatchesDirectBuild) {
 
 TEST(FaceMapCache, ContentKeyDiscriminates) {
   FaceMapCache cache;
-  const FaceMapCache::Entry a = cache.get_or_build(four_nodes(), 1.2, kField, 1.0);
+  const Division a = cache.get_or_build(four_nodes(), 1.2, kField, 1.0);
   // Different C.
-  const FaceMapCache::Entry b = cache.get_or_build(four_nodes(), 1.0, kField, 1.0);
+  const Division b = cache.get_or_build(four_nodes(), 1.0, kField, 1.0);
   // Different grid cell.
-  const FaceMapCache::Entry c = cache.get_or_build(four_nodes(), 1.2, kField, 2.0);
+  const Division c = cache.get_or_build(four_nodes(), 1.2, kField, 2.0);
   // One node moved.
   Deployment moved = four_nodes();
   moved[0].position.x += 0.5;
-  const FaceMapCache::Entry d = cache.get_or_build(moved, 1.2, kField, 1.0);
+  const Division d = cache.get_or_build(moved, 1.2, kField, 1.0);
   EXPECT_NE(a.map.get(), b.map.get());
   EXPECT_NE(a.map.get(), c.map.get());
   EXPECT_NE(a.map.get(), d.map.get());
@@ -65,7 +65,7 @@ TEST(FaceMapCache, ContentKeyDiscriminates) {
 
 TEST(FaceMapCache, FifoEvictionIsBounded) {
   FaceMapCache cache(2);
-  const FaceMapCache::Entry a = cache.get_or_build(four_nodes(), 1.1, kField, 1.0);
+  const Division a = cache.get_or_build(four_nodes(), 1.1, kField, 1.0);
   cache.get_or_build(four_nodes(), 1.2, kField, 1.0);
   cache.get_or_build(four_nodes(), 1.3, kField, 1.0);  // evicts the 1.1 entry
   FaceMapCache::Stats stats = cache.stats();
@@ -81,11 +81,11 @@ TEST(FaceMapCache, FifoEvictionIsBounded) {
 
 TEST(FaceMapCache, ClearForgetsButKeepsSharedPtrsAlive) {
   FaceMapCache cache;
-  const FaceMapCache::Entry a = cache.get_or_build(four_nodes(), 1.2, kField, 1.0);
+  const Division a = cache.get_or_build(four_nodes(), 1.2, kField, 1.0);
   cache.clear();
   EXPECT_EQ(cache.stats().size, 0u);
   EXPECT_GT(a.map->face_count(), 0u);
-  const FaceMapCache::Entry b = cache.get_or_build(four_nodes(), 1.2, kField, 1.0);
+  const Division b = cache.get_or_build(four_nodes(), 1.2, kField, 1.0);
   EXPECT_NE(a.map.get(), b.map.get());
   EXPECT_EQ(cache.stats().misses, 2u);
 }
@@ -103,7 +103,7 @@ TEST(FaceMapCache, FailedBuildIsNotCached) {
 
 TEST(FaceMapCache, BytesTrackResidentEntries) {
   FaceMapCache cache(2);
-  const FaceMapCache::Entry a = cache.get_or_build(four_nodes(), 1.1, kField, 1.0);
+  const Division a = cache.get_or_build(four_nodes(), 1.1, kField, 1.0);
   const std::size_t one_entry = cache.stats().bytes;
   const std::size_t expected = a.map->bytes() + a.table->bytes() + a.hier->bytes() +
                                a.index->bytes();
@@ -119,7 +119,7 @@ TEST(FaceMapCache, BytesTrackResidentEntries) {
 
   // FIFO eviction releases the oldest entry's bytes even while the
   // caller's shared_ptrs keep it alive, and clear() releases the rest.
-  const FaceMapCache::Entry c = cache.get_or_build(four_nodes(), 1.3, kField, 1.0);
+  const Division c = cache.get_or_build(four_nodes(), 1.3, kField, 1.0);
   const std::size_t c_bytes = c.map->bytes() + c.table->bytes() + c.hier->bytes() +
                               c.index->bytes();
   const FaceMapCache::Stats evicted = cache.stats();

@@ -230,7 +230,7 @@ TEST(HierDescend, FaceMapCacheEntryCarriesTheTier) {
   FaceMapCache cache(4);
   RngStream rng(55);
   const Deployment nodes = random_deployment(kField, 8, rng);
-  const FaceMapCache::Entry entry = cache.get_or_build(nodes, kC, kField, 1.5);
+  const Division entry = cache.get_or_build(nodes, kC, kField, 1.5);
   ASSERT_NE(entry.hier, nullptr);
   ASSERT_NE(entry.index, nullptr);
   EXPECT_EQ(entry.hier->face_count(), entry.map->face_count());

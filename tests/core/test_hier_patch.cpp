@@ -9,12 +9,14 @@
 #include <vector>
 
 #include "common/random.hpp"
+#include "core/division.hpp"
 #include "core/division_delta.hpp"
 #include "core/facemap.hpp"
 #include "core/facemap_builder.hpp"
 #include "core/hier_facemap.hpp"
 #include "core/signature_index.hpp"
 #include "net/deployment.hpp"
+#include "obs/obs.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace fttt {
@@ -187,6 +189,47 @@ TEST(HierPatch, MoveNodePatchesAddedPlanes) {
         SignatureIndex::patched(got, prev_index, delta, report, pool),
         SignatureIndex::build(want, pool));
   }
+}
+
+TEST(HierPatch, TakeDivisionPatchesAlongTheDelta) {
+  // The one division producer: handed its previous tiered product it
+  // patches the tier, handed nothing it builds one, and untiered it
+  // carries none — the tiers bit-identical to a from-scratch build of
+  // the same table either way.
+  ThreadPool pool(4);
+  RngStream rng(21);
+  const Deployment nodes = random_deployment(kField, 14, rng);
+  FaceMapBuilder builder(nodes, kC, kField, kCell, pool);
+  const Division first = builder.take_division(/*tiered=*/true);
+  ASSERT_NE(first.hier, nullptr);
+  ASSERT_NE(first.index, nullptr);
+
+  obs::set_enabled(true);
+  obs::Histogram& patches = obs::histogram("facemap.coarse.patch");
+  const std::uint64_t before = patches.summary().count;
+  builder.deactivate(7);
+  const Division patched = builder.take_division(true, &first);
+  const std::uint64_t after_patch = patches.summary().count;
+  builder.activate(7);
+  const Division wholesale = builder.take_division(true);
+  const std::uint64_t after_wholesale = patches.summary().count;
+  obs::set_enabled(false);
+  if (obs::kCompiledIn) {
+    EXPECT_EQ(after_patch - before, 1u);
+    EXPECT_EQ(after_wholesale, after_patch);
+  }
+
+  for (const Division* d : {&patched, &wholesale}) {
+    ASSERT_EQ(d->table->face_count(), d->map->face_count());
+    expect_hier_identical(*d->hier, HierFaceMap::build(*d->table, pool));
+    expect_index_identical(*d->index, SignatureIndex::build(*d->hier, pool));
+  }
+
+  builder.deactivate(2);
+  const Division flat = builder.take_division(false, &wholesale);
+  EXPECT_EQ(flat.hier, nullptr);
+  EXPECT_EQ(flat.index, nullptr);
+  EXPECT_EQ(flat.bytes(), flat.map->bytes() + flat.table->bytes());
 }
 
 TEST(HierPatch, DeltaInvalidOnFirstBuildAndAfterReset) {

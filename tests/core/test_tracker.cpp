@@ -8,6 +8,7 @@
 #include "net/deployment.hpp"
 #include "net/faults.hpp"
 #include "net/sampling.hpp"
+#include "obs/obs.hpp"
 #include "rf/uncertainty.hpp"
 
 namespace fttt {
@@ -102,6 +103,49 @@ TEST(FtttTracker, FallbackTriggersOnPoorSimilarity) {
                                std::numeric_limits<double>::infinity()});
   tracker.localize(sample_at(*map, {20.0, 20.0}, 6.0));
   EXPECT_EQ(tracker.stats().fallbacks, 1u);
+}
+
+TEST(FtttTracker, FallbackCountsClimbPlusExhaustivePass) {
+  // With the retry forced on every epoch, each localization examines
+  // its climb's faces plus the exhaustive pass's — whichever result it
+  // keeps — and the two fallback counters split every retry.
+  auto map = make_map();
+  const FtttTracker::Config cfg{VectorMode::kBasic, 1.0, true,
+                                std::numeric_limits<double>::infinity()};
+  FtttTracker tracker(map, cfg);
+  const BatchMatcher& matcher = tracker.matcher();
+
+  obs::set_enabled(true);
+  obs::Counter& won = obs::counter("localizer.fallback.won");
+  obs::Counter& kept = obs::counter("localizer.fallback.kept_climb");
+  const std::uint64_t won0 = won.value();
+  const std::uint64_t kept0 = kept.value();
+  std::size_t expected = 0;
+  std::uint64_t expected_won = 0;
+  FaceId start = map->face_at(map->grid().extent().center());
+  for (int i = 0; i < 12; ++i) {
+    const Vec2 target{6.0 + 2.5 * i, 12.0 + 1.5 * i};
+    const SamplingVector vd = build_sampling_vector(
+        sample_at(*map, target, 6.0, static_cast<std::uint64_t>(i)), cfg.eps, cfg.mode,
+        cfg.missing);
+    const MatchResult climbed = matcher.climb(vd, start);
+    const MatchResult full = matcher.match_one(vd);
+    expected += climbed.faces_examined + full.faces_examined;
+    const bool retry_wins = full.similarity > climbed.similarity;
+    expected_won += retry_wins ? 1 : 0;
+    start = retry_wins ? full.face : climbed.face;
+    EXPECT_EQ(tracker.localize(vd).face, start) << "epoch " << i;
+  }
+  const std::uint64_t split = (won.value() - won0) + (kept.value() - kept0);
+  const std::uint64_t won_delta = won.value() - won0;
+  obs::set_enabled(false);
+
+  EXPECT_EQ(tracker.stats().fallbacks, 12u);
+  EXPECT_EQ(tracker.stats().faces_examined, expected);
+  if (obs::kCompiledIn) {
+    EXPECT_EQ(split, tracker.stats().fallbacks);
+    EXPECT_EQ(won_delta, expected_won);
+  }
 }
 
 TEST(FtttTracker, ExtendedModeTracksToo) {

@@ -62,9 +62,9 @@ TEST(BatchMatcherParallel, IdenticalResultsAcrossThreadCounts) {
   ThreadPool one(1);
   ThreadPool two(2);
   ThreadPool eight(8);
-  const auto r1 = BatchMatcher(map, {}, one).match(batch);
-  const auto r2 = BatchMatcher(map, {}, two).match(batch);
-  const auto r8 = BatchMatcher(map, {}, eight).match(batch);
+  const auto r1 = BatchMatcher(map, nullptr, {}, one).match(batch);
+  const auto r2 = BatchMatcher(map, nullptr, {}, two).match(batch);
+  const auto r8 = BatchMatcher(map, nullptr, {}, eight).match(batch);
   expect_equal_results(r1, r2);
   expect_equal_results(r1, r8);
 
@@ -82,7 +82,7 @@ TEST(BatchMatcherParallel, StoppedPoolFallsBackToCaller) {
   const auto map = make_map();
   ThreadPool pool(4);
   pool.shutdown();
-  const BatchMatcher matcher(map, {}, pool);
+  const BatchMatcher matcher(map, nullptr, {}, pool);
   const std::vector<SamplingVector> batch = make_batch(*map, 64, 9);
   const auto results = matcher.match(batch);
   const ExhaustiveMatcher reference;
@@ -95,7 +95,7 @@ TEST(BatchMatcherParallel, ConcurrentMatchCallsAreIndependent) {
   // sharing one matcher (and one pool) must not interfere.
   const auto map = make_map();
   ThreadPool pool(4);
-  const BatchMatcher matcher(map, {}, pool);
+  const BatchMatcher matcher(map, nullptr, {}, pool);
   const ExhaustiveMatcher reference;
 
   std::vector<std::vector<SamplingVector>> batches;

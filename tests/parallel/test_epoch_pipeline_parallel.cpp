@@ -44,7 +44,7 @@ TEST(EpochPipelineParallel, ConcurrentCacheLookupsSingleFlight) {
   const Deployment nodes{{0, {5.0, 5.0}}, {1, {15.0, 5.0}}, {2, {5.0, 15.0}}, {3, {15.0, 15.0}}};
   const Aabb field{{0.0, 0.0}, {20.0, 20.0}};
   constexpr std::size_t kThreads = 8;
-  std::vector<FaceMapCache::Entry> entries(kThreads);
+  std::vector<Division> entries(kThreads);
   {
     std::vector<std::thread> threads;
     threads.reserve(kThreads);

@@ -56,7 +56,7 @@ TEST(HierParallel, BatchDescentIdenticalAcrossThreadCounts) {
   ThreadPool two(2);
   ThreadPool eight(8);
   const auto run = [&](ThreadPool& pool) {
-    BatchMatcher matcher(map, {}, pool);
+    BatchMatcher matcher(map, nullptr, {}, pool);
     matcher.build_hierarchy();
     return matcher.match(batch);
   };
@@ -80,12 +80,13 @@ TEST(HierParallel, ConcurrentDescentsShareOneTierRaceFree) {
   // TSan and agree with the scalar reference.
   const auto map = make_map();
   ThreadPool pool(4);
-  BatchMatcher owner(map, {}, pool);
+  BatchMatcher owner(map, nullptr, {}, pool);
   owner.build_hierarchy();
 
   std::vector<std::unique_ptr<BatchMatcher>> matchers;
   for (int i = 0; i < 4; ++i) {
-    matchers.push_back(std::make_unique<BatchMatcher>(map, BatchMatcher::Config{}, pool));
+    matchers.push_back(
+        std::make_unique<BatchMatcher>(map, nullptr, BatchMatcher::Config{}, pool));
     matchers.back()->attach_hierarchy(owner.shared_hierarchy(), owner.shared_index());
   }
 
@@ -115,7 +116,7 @@ TEST(HierParallel, ConcurrentDescentsShareOneTierRaceFree) {
 TEST(HierParallel, ConcurrentBatchCallsOnOneHierMatcher) {
   const auto map = make_map();
   ThreadPool pool(4);
-  BatchMatcher matcher(map, BatchMatcher::Config{}, pool);
+  BatchMatcher matcher(map, nullptr, BatchMatcher::Config{}, pool);
   matcher.build_hierarchy();
 
   std::vector<std::vector<SamplingVector>> batches;

@@ -143,7 +143,7 @@ TEST(ServeFleetRace, HierarchicalAsyncChurnUnderLoad) {
   cfg.queue_capacity = 64;
   cfg.track.hierarchical = true;  // exercise the tier + index patch path
   TrackManagerFleet fleet(roster, 1.2, kField, 2.0, cfg);
-  ASSERT_NE(fleet.hier(), nullptr);
+  ASSERT_NE(fleet.division().hier, nullptr);
 
   std::atomic<std::size_t> accepted{0};
   std::vector<std::thread> producers;

@@ -15,6 +15,7 @@
 
 #include "core/facemap_cache.hpp"
 #include "net/deployment.hpp"
+#include "obs/obs.hpp"
 #include "serve/workload.hpp"
 
 namespace fttt {
@@ -58,6 +59,17 @@ void expect_identical(const TrackUpdate& got, const TrackUpdate& want,
   EXPECT_EQ(got.estimate->position.y, want.estimate->position.y) << "update " << i;
   EXPECT_EQ(got.estimate->face, want.estimate->face) << "update " << i;
   EXPECT_EQ(got.estimate->similarity, want.estimate->similarity) << "update " << i;
+}
+
+/// A replay serving the fleet's current division, flat (map and table).
+SerialReplay replay_of(const TrackShard::Config& config, const TrackManagerFleet& fleet) {
+  return SerialReplay(config, fleet.division().map, fleet.division().table,
+                      fleet.members());
+}
+
+/// Mirror the fleet's current division into `replay`, flat.
+void mirror(SerialReplay& replay, const TrackManagerFleet& fleet) {
+  replay.adopt_division(fleet.division().map, fleet.division().table, fleet.members());
 }
 
 TEST(Fleet, ConstructorValidation) {
@@ -124,7 +136,7 @@ TEST(Fleet, ShardCountInvarianceAgainstSerialReplay) {
   FaceMapCache cache;
 
   // The spec: one shard, one frame at a time, same initial division.
-  const FaceMapCache::Entry entry =
+  const Division entry =
       cache.get_or_build(roster, kC, kField, kCell, ThreadPool::global());
   std::vector<NodeId> members(roster.size());
   for (std::size_t i = 0; i < roster.size(); ++i)
@@ -167,7 +179,7 @@ TEST(Fleet, ChurnMatchesReplayWithTracksHeld) {
   TrackManagerFleet::Config cfg;
   cfg.shards = 2;
   TrackManagerFleet fleet(roster, kC, kField, kCell, cfg);
-  SerialReplay replay(cfg.track, fleet.map(), fleet.table(), fleet.members());
+  SerialReplay replay = replay_of(cfg.track, fleet);
 
   for (std::uint64_t tick = 0; tick < kTicks; ++tick) {
     // Fail node 0 before tick 2, revive it before tick 4; the rebuild
@@ -176,12 +188,12 @@ TEST(Fleet, ChurnMatchesReplayWithTracksHeld) {
     if (tick == 2) {
       ASSERT_TRUE(fleet.fail_node(0));
       fleet.flush_rebuilds();
-      replay.adopt_division(fleet.map(), fleet.table(), fleet.members());
+      mirror(replay, fleet);
     }
     if (tick == 4) {
       ASSERT_TRUE(fleet.revive_node(0));
       fleet.flush_rebuilds();
-      replay.adopt_division(fleet.map(), fleet.table(), fleet.members());
+      mirror(replay, fleet);
     }
     std::vector<TrackUpdate> spec;
     for (const ReportFrame& frame : stream[tick]) {
@@ -312,23 +324,23 @@ TEST(Fleet, HierarchicalFleetMatchesFlatReplayUnderChurn) {
   cfg.shards = 2;
   cfg.track.hierarchical = true;
   TrackManagerFleet fleet(roster, kC, kField, kCell, cfg);
-  ASSERT_NE(fleet.hier(), nullptr);
-  ASSERT_NE(fleet.index(), nullptr);
+  ASSERT_NE(fleet.division().hier, nullptr);
+  ASSERT_NE(fleet.division().index, nullptr);
 
   TrackShard::Config flat = cfg.track;
   flat.hierarchical = false;
-  SerialReplay replay(flat, fleet.map(), fleet.table(), fleet.members());
+  SerialReplay replay = replay_of(flat, fleet);
 
   for (std::uint64_t tick = 0; tick < kTicks; ++tick) {
     if (tick == 2) {
       ASSERT_TRUE(fleet.fail_node(0));
       fleet.flush_rebuilds();
-      replay.adopt_division(fleet.map(), fleet.table(), fleet.members());
+      mirror(replay, fleet);
     }
     if (tick == 4) {
       ASSERT_TRUE(fleet.revive_node(0));
       fleet.flush_rebuilds();
-      replay.adopt_division(fleet.map(), fleet.table(), fleet.members());
+      mirror(replay, fleet);
     }
     std::vector<TrackUpdate> spec;
     for (const ReportFrame& frame : stream[tick]) {
@@ -350,10 +362,10 @@ TEST(Fleet, ReplaySharesTheFleetsTier) {
   TrackManagerFleet fleet(roster, kC, kField, kCell, cfg);
   // Handing the fleet's tier to a hierarchical replay skips a rebuild;
   // results stay identical (tier determinism).
-  SerialReplay own(cfg.track, fleet.map(), fleet.table(), fleet.members());
-  SerialReplay shared(cfg.track, fleet.map(), fleet.table(), fleet.members());
-  shared.adopt_division(fleet.map(), fleet.table(), fleet.members(),
-                        fleet.hier(), fleet.index());
+  SerialReplay own = replay_of(cfg.track, fleet);
+  SerialReplay shared = replay_of(cfg.track, fleet);
+  const Division& d = fleet.division();
+  shared.adopt_division(d.map, d.table, fleet.members(), d.hier, d.index);
   const SyntheticWorkload workload(roster, kField, workload_config(4), 33);
   for (std::uint64_t e = 0; e < 4; ++e)
     for (TrackId t = 0; t < 4; ++t) {
@@ -375,8 +387,8 @@ TEST(Fleet, AsyncRebuildServesOldDivisionUntilReady) {
   ThreadPool pool(1);
   TrackManagerFleet::Config cfg;
   TrackManagerFleet fleet(roster, kC, kField, kCell, cfg, pool);
-  SerialReplay replay(cfg.track, fleet.map(), fleet.table(), fleet.members());
-  const FaceMap* old_division = fleet.map().get();
+  SerialReplay replay = replay_of(cfg.track, fleet);
+  const FaceMap* old_division = fleet.division().map.get();
 
   std::promise<void> release;
   std::shared_future<void> gate(release.get_future());
@@ -390,18 +402,18 @@ TEST(Fleet, AsyncRebuildServesOldDivisionUntilReady) {
     ASSERT_TRUE(fleet.submit(frame));
   }
   const std::vector<TrackUpdate> got = fleet.tick();
-  EXPECT_EQ(fleet.map().get(), old_division);  // still serving the old one
+  EXPECT_EQ(fleet.division().map.get(), old_division);  // still serving the old one
   ASSERT_EQ(got.size(), spec.size());
   for (std::size_t i = 0; i < spec.size(); ++i)
     expect_identical(got[i], spec[i], i);
 
   release.set_value();
   fleet.flush_rebuilds();
-  EXPECT_NE(fleet.map().get(), old_division);
+  EXPECT_NE(fleet.division().map.get(), old_division);
   EXPECT_EQ(fleet.stats().rebuilds, 1u);
 
   // And the adopted division matches a replay that adopts it too.
-  replay.adopt_division(fleet.map(), fleet.table(), fleet.members());
+  mirror(replay, fleet);
   spec.clear();
   std::vector<TrackUpdate> got2;
   for (TrackId t = 0; t < kTracks; ++t) {
@@ -416,17 +428,18 @@ TEST(Fleet, AsyncRebuildServesOldDivisionUntilReady) {
   EXPECT_EQ(fleet.stats().tracks, kTracks);  // zero dropped tracks
 }
 
-TEST(Fleet, SyncModeAdoptsImmediately) {
+TEST(Fleet, FlushAdoptsChurnImmediately) {
+  // fail_node() followed by flush_rebuilds() is the synchronous churn
+  // call: the new division is served by the time the flush returns.
   const Deployment roster = roster9();
-  TrackManagerFleet::Config cfg;
-  cfg.async_rebuild = false;
-  TrackManagerFleet fleet(roster, kC, kField, kCell, cfg);
-  const FaceMap* before = fleet.map().get();
+  TrackManagerFleet fleet(roster, kC, kField, kCell, {});
+  const FaceMap* before = fleet.division().map.get();
   ASSERT_TRUE(fleet.fail_node(0));
-  EXPECT_NE(fleet.map().get(), before);  // adopted inside the call
+  fleet.flush_rebuilds();
+  EXPECT_NE(fleet.division().map.get(), before);  // adopted by the flush
   EXPECT_EQ(fleet.stats().rebuilds, 1u);
   EXPECT_EQ(fleet.stats().churn_events, 1u);
-  fleet.flush_rebuilds();  // no-op in sync mode
+  fleet.flush_rebuilds();  // nothing pending: a no-op
   EXPECT_EQ(fleet.stats().rebuilds, 1u);
 }
 
@@ -448,7 +461,7 @@ TEST(Fleet, FreeRunningAsyncMatchesMirroredReplay) {
   TrackManagerFleet fleet(roster, kC, kField, kCell, cfg);
   TrackShard::Config flat = cfg.track;
   flat.hierarchical = false;
-  SerialReplay replay(flat, fleet.map(), fleet.table(), fleet.members());
+  SerialReplay replay = replay_of(flat, fleet);
 
   std::uint64_t churned = 0;
   std::uint64_t adopted = 0;
@@ -469,7 +482,7 @@ TEST(Fleet, FreeRunningAsyncMatchesMirroredReplay) {
 
     if (fleet.stats().rebuilds > adopted) {
       adopted = fleet.stats().rebuilds;
-      replay.adopt_division(fleet.map(), fleet.table(), fleet.members());
+      mirror(replay, fleet);
     }
     std::vector<TrackUpdate> spec;
     for (const ReportFrame& frame : stream[tick])
@@ -486,13 +499,102 @@ TEST(Fleet, FreeRunningAsyncMatchesMirroredReplay) {
   EXPECT_EQ(stats.tracks, kTracks);    // zero dropped tracks throughout
 }
 
+TEST(Fleet, SameTickFramesOfOneTrackMatchSerialReplay) {
+  // A tick carrying several frames of one track resolves them in rounds:
+  // each later frame climbs from the face its earlier frame committed,
+  // exactly as the one-frame-at-a-time spec does. A coverage-gated frame
+  // between two frames cold-starts the frame after it. Ticks alternate
+  // round-major and track-major order (per-track order always kept).
+  const Deployment roster = roster9();
+  constexpr std::size_t kTracks = 6;
+  constexpr std::size_t kTicks = 5;
+  const SyntheticWorkload workload(roster, kField, workload_config(kTracks), 41);
+
+  std::vector<std::vector<ReportFrame>> stream(kTicks);
+  std::vector<std::uint64_t> epoch(kTracks, 0);
+  const auto frame_of = [&](TrackId t, std::size_t k) {
+    // Track t's k-th frame this tick; 3-frame ticks of every third
+    // track gate the middle one (a single reporter).
+    if (k == 1 && t % 3 == 0) {
+      ReportFrame thin;
+      thin.track = t;
+      thin.epoch = epoch[t]++;
+      thin.group.resize(roster.size(), 3);
+      thin.group.set_column(1);
+      return thin;
+    }
+    return workload.frame(t, epoch[t]++);
+  };
+  for (std::size_t tick = 0; tick < kTicks; ++tick) {
+    const auto frames_of = [&](TrackId t) { return 2 + (t + tick) % 2; };
+    if (tick % 2 == 0) {
+      for (std::size_t k = 0; k < 3; ++k)
+        for (TrackId t = 0; t < kTracks; ++t)
+          if (k < frames_of(t)) stream[tick].push_back(frame_of(t, k));
+    } else {
+      for (TrackId t = 0; t < kTracks; ++t)
+        for (std::size_t k = 0; k < frames_of(t); ++k)
+          stream[tick].push_back(frame_of(t, k));
+    }
+  }
+
+  TrackManagerFleet::Config cfg;
+  FaceMapCache cache;
+  const Division division = cache.get_or_build(roster, kC, kField, kCell);
+  std::vector<NodeId> members(roster.size());
+  for (std::size_t i = 0; i < roster.size(); ++i) members[i] = static_cast<NodeId>(i);
+  SerialReplay replay(cfg.track, division.map, division.table, members);
+  std::vector<TrackUpdate> spec;
+  for (const auto& tick_frames : stream)
+    for (const ReportFrame& frame : tick_frames) spec.push_back(replay.process(frame));
+
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    SCOPED_TRACE(testing::Message() << shards << " shards");
+    cfg.shards = shards;
+    TrackManagerFleet fleet(roster, kC, kField, kCell, cfg, ThreadPool::global(), &cache);
+    std::vector<TrackUpdate> got;
+    for (const auto& tick_frames : stream) {
+      for (const ReportFrame& frame : tick_frames) ASSERT_TRUE(fleet.submit(frame));
+      for (TrackUpdate& u : fleet.tick()) got.push_back(std::move(u));
+    }
+    ASSERT_EQ(got.size(), spec.size());
+    for (std::size_t i = 0; i < spec.size(); ++i) expect_identical(got[i], spec[i], i);
+  }
+}
+
+TEST(Fleet, FallbackCountersSplitEveryFallback) {
+  // localizer.fallback.won + localizer.fallback.kept_climb account for
+  // every climb that missed the floor, across shards.
+  const Deployment roster = roster9();
+  constexpr std::size_t kTracks = 16;
+  SyntheticWorkload::Config noisy = workload_config(kTracks);
+  noisy.sampling.model.sigma = 6.0;  // poor climbs: fallbacks happen
+  const SyntheticWorkload workload(roster, kField, noisy, 7);
+  TrackManagerFleet::Config cfg;
+  cfg.shards = 4;
+  TrackManagerFleet fleet(roster, kC, kField, kCell, cfg);
+
+  obs::set_enabled(true);
+  obs::Counter& won = obs::counter("localizer.fallback.won");
+  obs::Counter& kept = obs::counter("localizer.fallback.kept_climb");
+  const std::uint64_t before = won.value() + kept.value();
+  for (std::uint64_t e = 0; e < 8; ++e) {
+    for (TrackId t = 0; t < kTracks; ++t) ASSERT_TRUE(fleet.submit(workload.frame(t, e)));
+    (void)fleet.tick();
+  }
+  const std::uint64_t split = won.value() + kept.value() - before;
+  obs::set_enabled(false);
+  EXPECT_GT(fleet.stats().fallbacks, 0u);
+  if (obs::kCompiledIn) EXPECT_EQ(split, fleet.stats().fallbacks);
+}
+
 TEST(Fleet, SharedCacheServesOneBuildToSiblingFleets) {
   const Deployment roster = roster9();
   FaceMapCache cache;
   TrackManagerFleet a(roster, kC, kField, kCell, {}, ThreadPool::global(), &cache);
   TrackManagerFleet b(roster, kC, kField, kCell, {}, ThreadPool::global(), &cache);
-  EXPECT_EQ(a.map().get(), b.map().get());
-  EXPECT_EQ(a.table().get(), b.table().get());
+  EXPECT_EQ(a.division().map.get(), b.division().map.get());
+  EXPECT_EQ(a.division().table.get(), b.division().table.get());
   EXPECT_EQ(cache.stats().misses, 1u);
 }
 
