@@ -1,7 +1,8 @@
 // Perf harness for the epoch-pipeline simulation engine.
 //
 // Times the serial runner (run_tracking: one epoch at a time, fresh
-// face maps every trial) against run_tracking_pipelined on the Table 1
+// face maps every trial) against run_tracking_pipelined (the TrialWorker
+// of sim/trial.hpp with its epochs fanned out) on the Table 1
 // sweep shape — 10 trials x 4 methods — and emits BENCH_pipeline.json
 // (ns/run, runs/s, speedup vs serial). tools/fttt_perfcmp.py diffs the
 // file against bench/baselines/BENCH_pipeline.json and gates CI on
@@ -16,11 +17,12 @@
 // A wrong-but-fast engine fails the bench, not just the unit suite.
 //
 // The gated pipeline_1t row runs on a ThreadPool(1): the speedup it
-// measures is purely algorithmic — the cross-trial face-map cache, the
-// one-pass SoA Direct-MLE match, PM's batched per-face scans and the
-// shared one-shot vector — so it holds on a single-core CI runner. The
-// _mt row adds precompute parallelism and is informational only (no
-// baseline speedup, so perfcmp skips it). Deployment is the grid
+// measures is purely algorithmic — the cross-trial face-map cache and
+// one SoA per-face scan of one one-shot vector per epoch, whose score
+// row serves both PM and Direct MLE (BatchMatcher::select_from) — so it
+// holds on a single-core CI runner. The _mt row adds precompute
+// parallelism and is informational only (no baseline speedup, so
+// perfcmp skips it). Deployment is the grid
 // pattern: it is trial-invariant, which is exactly the fixed-deployment
 // sweep shape the cache exists for (random deployments re-key per
 // trial and pay one build each, like the serial path).

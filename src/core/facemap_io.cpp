@@ -1,7 +1,10 @@
 #include "core/facemap_io.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -10,6 +13,9 @@ namespace fttt {
 namespace {
 
 constexpr char kMagic[8] = {'F', 'T', 'T', 'T', 'M', 'A', 'P', '1'};
+
+/// Bytes read per step of a payload whose length the header claims.
+constexpr std::size_t kReadChunk = std::size_t{1} << 16;
 
 /// Incremental FNV-1a over the serialized payload.
 class Fnv1a {
@@ -71,11 +77,6 @@ class Reader {
     bytes(&v, sizeof v);
     return v;
   }
-  std::int8_t i8() {
-    std::int8_t v;
-    bytes(&v, sizeof v);
-    return v;
-  }
   std::uint64_t checksum() const { return hash_.value(); }
 
  private:
@@ -125,6 +126,9 @@ void save_facemap(const FaceMap& map, const std::string& path) {
 }
 
 FaceMap load_facemap(std::istream& in) {
+  // Every count below comes from the file. Storage grows with the bytes
+  // actually read, never ahead of them, so a hostile header ends in the
+  // promised runtime_error (truncated stream) instead of bad_alloc.
   Reader r(in);
   char magic[8];
   r.bytes(magic, sizeof magic);
@@ -135,12 +139,13 @@ FaceMap load_facemap(std::istream& in) {
   if (node_count < 2 || node_count > 1'000'000)
     throw std::runtime_error("load_facemap: implausible node count");
   Deployment nodes;
-  nodes.reserve(node_count);
   for (std::uint32_t i = 0; i < node_count; ++i) {
     SensorNode n;
     n.id = r.u32();
     n.position.x = r.f64();
     n.position.y = r.f64();
+    if (!std::isfinite(n.position.x) || !std::isfinite(n.position.y))
+      throw std::runtime_error("load_facemap: corrupt geometry");
     nodes.push_back(n);
   }
   const double C = r.f64();
@@ -150,34 +155,49 @@ FaceMap load_facemap(std::istream& in) {
   field.hi.x = r.f64();
   field.hi.y = r.f64();
   const double cell_size = r.f64();
-  if (!(cell_size > 0.0) || !(field.width() > 0.0) || !(field.height() > 0.0))
+  const bool finite = std::isfinite(C) && std::isfinite(field.width()) &&
+                      std::isfinite(field.height()) && std::isfinite(cell_size);
+  if (!finite || !(cell_size > 0.0) || !(field.width() > 0.0) || !(field.height() > 0.0))
     throw std::runtime_error("load_facemap: corrupt geometry");
+  // UniformGrid casts these counts to int.
+  constexpr double kMaxSide = std::numeric_limits<int>::max();
+  if (!(std::ceil(field.width() / cell_size - 1e-9) <= kMaxSide) ||
+      !(std::ceil(field.height() / cell_size - 1e-9) <= kMaxSide))
+    throw std::runtime_error("load_facemap: grid has more columns or rows than an int holds");
 
   const std::uint32_t face_count = r.u32();
   const std::uint32_t dimension = r.u32();
-  if (dimension != node_count * (node_count - 1) / 2)
+  if (dimension != std::uint64_t{node_count} * (node_count - 1) / 2)
     throw std::runtime_error("load_facemap: dimension does not match node count");
-  std::vector<SignatureVector> signatures(face_count);
-  for (auto& sig : signatures) {
-    sig.resize(dimension);
-    for (auto& v : sig) {
-      v = r.i8();
-      if (v < -1 || v > 1) throw std::runtime_error("load_facemap: corrupt signature");
+  std::vector<SignatureVector> signatures;
+  for (std::uint32_t f = 0; f < face_count; ++f) {
+    SignatureVector sig;
+    for (std::size_t done = 0; done < dimension;) {
+      const std::size_t chunk = std::min<std::size_t>(kReadChunk, dimension - done);
+      sig.resize(done + chunk);
+      r.bytes(sig.data() + done, chunk);
+      done += chunk;
     }
+    for (SigValue v : sig)
+      if (v < -1 || v > 1) throw std::runtime_error("load_facemap: corrupt signature");
+    signatures.push_back(std::move(sig));
   }
 
   const UniformGrid grid(field, cell_size);
-  std::vector<SignatureVector> cell_sig(grid.cell_count());
+  std::vector<std::uint32_t> cell_face;
   for (std::size_t flat = 0; flat < grid.cell_count(); ++flat) {
-    const std::uint32_t face = r.u32();
-    if (face >= face_count) throw std::runtime_error("load_facemap: face id out of range");
-    cell_sig[flat] = signatures[face];
+    cell_face.push_back(r.u32());
+    if (cell_face.back() >= face_count)
+      throw std::runtime_error("load_facemap: face id out of range");
   }
 
   const std::uint64_t computed = r.checksum();
   const std::uint64_t stored = r.u64_nohash();
   if (computed != stored) throw std::runtime_error("load_facemap: checksum mismatch");
 
+  std::vector<SignatureVector> cell_sig;
+  cell_sig.reserve(cell_face.size());
+  for (std::uint32_t face : cell_face) cell_sig.push_back(signatures[face]);
   return FaceMap::from_cells(nodes, C, grid, std::move(cell_sig));
 }
 

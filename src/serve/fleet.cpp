@@ -64,7 +64,15 @@ TrackManagerFleet::~TrackManagerFleet() {
   rebuild_cv_.wait(lk, [&] { return !rebuild_inflight_; });
 }
 
+bool TrackManagerFleet::malformed(const ReportFrame& frame) {
+  if (frame.group.node_count() == roster_.size()) return false;
+  malformed_.fetch_add(1, std::memory_order_relaxed);
+  FTTT_OBS_COUNT("serve.rejected_malformed", 1);
+  return true;
+}
+
 bool TrackManagerFleet::submit(ReportFrame frame) {
+  if (malformed(frame)) return false;
   const BoundedQueue<ReportFrame>::PushResult r =
       queue_.push_shed_oldest(std::move(frame));
   if (r.accepted) {
@@ -79,6 +87,7 @@ bool TrackManagerFleet::submit(ReportFrame frame) {
 }
 
 bool TrackManagerFleet::try_submit(ReportFrame frame) {
+  if (malformed(frame)) return false;
   if (queue_.try_push(std::move(frame))) {
     enqueued_.fetch_add(1, std::memory_order_relaxed);
     FTTT_OBS_COUNT("serve.enqueued", 1);
@@ -90,6 +99,7 @@ bool TrackManagerFleet::try_submit(ReportFrame frame) {
 }
 
 bool TrackManagerFleet::submit_wait(ReportFrame frame) {
+  if (malformed(frame)) return false;
   if (queue_.push_wait(std::move(frame))) {
     enqueued_.fetch_add(1, std::memory_order_relaxed);
     FTTT_OBS_COUNT("serve.enqueued", 1);
@@ -269,6 +279,7 @@ TrackManagerFleet::Stats TrackManagerFleet::stats() const {
   s.enqueued = enqueued_.load(std::memory_order_relaxed);
   s.shed = shed_.load(std::memory_order_relaxed);
   s.rejected = rejected_.load(std::memory_order_relaxed);
+  s.malformed = malformed_.load(std::memory_order_relaxed);
   s.frames = frames_;
   s.localizations = localizations_;
   s.ticks = ticks_;

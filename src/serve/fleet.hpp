@@ -86,12 +86,16 @@ class TrackManagerFleet {
     TrackShard::Config track{};
   };
 
-  /// Monotonic accounting. enqueued + shed + rejected reconciles with
-  /// producer-side totals exactly (asserted by the stress suite).
+  /// Monotonic accounting. enqueued + shed + rejected + malformed
+  /// reconciles with producer-side totals exactly (asserted by the
+  /// stress suite).
   struct Stats {
     std::uint64_t enqueued{0};       ///< frames accepted into the queue
     std::uint64_t shed{0};           ///< oldest-first evictions (submit)
     std::uint64_t rejected{0};       ///< try_submit refusals
+    /// Frames refused by every submit form because their group does
+    /// not span the roster (group.node_count() != roster_size()).
+    std::uint64_t malformed{0};
     std::uint64_t frames{0};         ///< frames resolved across all ticks
     std::uint64_t localizations{0};  ///< updates carrying an estimate
     std::uint64_t ticks{0};
@@ -126,6 +130,10 @@ class TrackManagerFleet {
   ~TrackManagerFleet();
 
   // -- Ingestion (any thread) ----------------------------------------------
+  //
+  // Every form refuses (returns false, enqueues nothing, counts
+  // Stats::malformed) a frame whose group.node_count() differs from
+  // roster_size(): shards index groups by roster id.
 
   /// Load-shedding submit: evicts the oldest queued frame when full.
   /// False only after close().
@@ -192,6 +200,11 @@ class TrackManagerFleet {
     return static_cast<std::size_t>(splitmix64(track) % shards_.size());
   }
 
+  /// Ingress shape check: true (and counted) when the frame's group
+  /// does not span the roster. roster_ never changes after
+  /// construction, so producers may read its size concurrently.
+  bool malformed(const ReportFrame& frame);
+
   /// One churn event accepted: queue the builder op and kick the
   /// off-thread pipeline.
   void on_churn(NodeId id, bool fail);
@@ -251,6 +264,7 @@ class TrackManagerFleet {
   std::atomic<std::uint64_t> enqueued_{0};
   std::atomic<std::uint64_t> shed_{0};
   std::atomic<std::uint64_t> rejected_{0};
+  std::atomic<std::uint64_t> malformed_{0};
   std::uint64_t frames_{0};
   std::uint64_t localizations_{0};
   std::uint64_t ticks_{0};

@@ -4,29 +4,28 @@
 // and node count with a *unique deployment per trial* — the regime where
 // FaceMapCache misses on every key and the per-trial path of monte_carlo
 // degenerates into cold map builds plus per-trial scratch churn. The
-// campaign engine runs that regime with an allocation-free steady state:
+// campaign runs that regime with an allocation-free steady state:
 //
 //   - deployments come from a RandomDeploymentGenerator (net/deployment),
 //     a pure function of (seed, trial) — bit-reproducible at any thread
 //     count;
-//   - each worker owns pooled FaceMapBuilders whose build_into() rebuilds
-//     recycled FaceMap / SignatureTable products in place (PR 4's plane
-//     and product storage is reused across trials instead of reallocated);
-//   - within a wave every trial shares one (C, field, grid) shape, so the
-//     one-shot face scans run as one uninterrupted sequence of SoA passes
-//     over pooled score rows, and Direct MLE selects its match from the
-//     same rows path matching consumes (BatchMatcher::select_from) — one
-//     scan per epoch serves both methods, the cross-trial sequel to the
-//     pipeline's cross-epoch batching;
-//   - results stream into a density x N grid of RunningStats merged in
-//     trial order after each wave barrier.
+//   - one TrialWorker (sim/trial.hpp) per executor is bound per cell and
+//     reused across trials: its pooled FaceMapBuilders rebuild recycled
+//     FaceMap / SignatureTable products in place (build_into), and its
+//     per-epoch rows, including the score rows one SoA scan per epoch
+//     fills for path matching and Direct MLE alike, are recycled too;
+//   - this driver owns trial fan-out: trials spread over the workers in
+//     waves and each trial precomputes its epochs serially (the epoch
+//     pipeline owns the opposite split); results stream into a density
+//     x N grid of RunningStats merged in trial order after each wave
+//     barrier.
 //
 // Equivalence contract: with CountModel::kFixed, every cell's summaries
-// are *bit-identical* to a serial monte_carlo(cell.scenario, ...) run —
+// are *bit-identical* to a serial monte_carlo(cell.scenario, ...) run
+// and to run_tracking (the spec) reduced per cell in trial order —
 // same per-epoch errors, same Welford merge sequence.
-// tests/sim/test_campaign.cpp enforces the contract per
-// (method, density, N) cell; bench_perf_campaign re-proves it before
-// timing.
+// tests/sim/test_campaign.cpp enforces both per (method, density, N)
+// cell; bench_perf_campaign re-proves the first before timing.
 #pragma once
 
 #include <cstdint>

@@ -1,34 +1,22 @@
-// Epoch-pipeline simulation engine.
+// Epoch-pipeline driver: one run with its epochs fanned out over a pool.
 //
-// run_tracking (sim/runner.hpp) interleaves per-epoch work serially:
-// sample the group, build the sampling vector(s), match, advance each
-// tracker — one epoch at a time. But the *sampling* side of an epoch is
-// independent of every other epoch by construction: epoch e draws all
-// its randomness from root.substream(4, e) (and fault decisions are
-// pure functions of (node, epoch)), so grouping samplings, truth
-// positions, FTTT sampling vectors, one-shot vectors and PM per-face
-// similarity scans for all epochs can be computed concurrently without
-// changing a single bit of the result. Only the *decision* side is
-// sequential — the FTTT heuristic warm-starts from the previous face
-// and PM's window carries Viterbi state — and those steps consume the
-// precomputed vectors in epoch order.
-//
-// The pipeline therefore runs in two phases:
-//   1. precompute (parallel, span sim.pipeline.precompute): for every
-//      epoch, collect_group + truth + per-method vectors + PM's batched
-//      per-face similarity scan (BatchMatcher::similarities_into on the
-//      SoA table, bit-identical to PM's scalar face loop);
-//   2. consume (sequential, span sim.pipeline.consume): FTTT trackers
-//      climb epoch-by-epoch from the precomputed vectors, PM advances
-//      its window from the precomputed scores, and Direct MLE — fully
-//      stateless — resolves every epoch in one BatchMatcher::match SoA
-//      pass.
+// run_tracking (sim/runner.hpp) interleaves per-epoch work serially. The
+// sampling side of an epoch is independent of every other epoch — epoch
+// e draws all its randomness from root.substream(4, e) and fault
+// decisions are pure in (node, epoch) — so run_tracking_pipelined hands
+// one trial to a fresh TrialWorker (sim/trial.hpp) and runs it in two
+// phases:
+//   1. precompute (parallel over epochs, span sim.pipeline.precompute):
+//      TrialWorker::precompute for every epoch on `pool`;
+//   2. consume (sequential, span sim.pipeline.consume): per method in
+//      epoch order, copied into a TrackingResult.
+// This driver owns epoch fan-out; run_campaign (sim/campaign.hpp) owns
+// trial fan-out on the same worker.
 //
 // Bit-equivalence contract: run_tracking_pipelined(cfg, methods, trial)
 // returns a TrackingResult *bit-identical* to run_tracking with the
 // same arguments, for every method, at any thread count, with or
-// without the face-map cache. run_tracking stays in the tree as the
-// executable specification; tests/sim/test_epoch_pipeline.cpp enforces
+// without the face-map cache. tests/sim/test_epoch_pipeline.cpp enforces
 // the contract across channels, vector modes, missing policies and
 // methods.
 //
@@ -51,7 +39,7 @@ namespace fttt {
 /// run_tracking(cfg, methods, trial) regardless of `pool` size. When
 /// `cache` is non-null, face maps are fetched through it (content-keyed,
 /// so cross-trial fixed-deployment sweeps build each map once);
-/// otherwise each call builds its own maps exactly like run_tracking.
+/// otherwise each call builds its own maps. Defined in sim/trial.cpp.
 TrackingResult run_tracking_pipelined(const ScenarioConfig& cfg,
                                       std::span<const Method> methods,
                                       std::uint64_t trial = 0,

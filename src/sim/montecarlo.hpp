@@ -2,7 +2,10 @@
 //
 // Each trial re-draws deployment, trace, noise and faults from trial-keyed
 // substreams; trials run across the thread pool and results are merged in
-// trial order, so a sweep is bit-reproducible at any thread count.
+// trial order, so a sweep is bit-reproducible at any thread count. Every
+// trial is one run_tracking_pipelined call: a fresh TrialWorker
+// (sim/trial.hpp) with its epochs fanned out, nothing pooled across
+// trials — the per-trial reference run_campaign is measured against.
 #pragma once
 
 #include <span>
@@ -38,7 +41,7 @@ struct MonteCarloSummary {
 /// bit-identical either way (the cache changes where maps come from,
 /// never their content). For unique-deployment sweeps at scale, prefer
 /// run_campaign (sim/campaign.hpp): same statistics to the bit, but
-/// pooled per-worker builders instead of per-trial cold builds.
+/// workers pooled across trials instead of fresh per-trial state.
 std::vector<MonteCarloSummary> monte_carlo(const ScenarioConfig& cfg,
                                            std::span<const Method> methods,
                                            std::size_t trials,

@@ -1,6 +1,5 @@
 #include "sim/runner.hpp"
 
-#include <algorithm>
 #include <functional>
 #include <memory>
 #include <stdexcept>
@@ -9,8 +8,6 @@
 #include "baselines/path_matching.hpp"
 #include "core/facemap_builder.hpp"
 #include "core/tracker.hpp"
-#include "net/faults.hpp"
-#include "net/sampling.hpp"
 #include "obs/obs.hpp"
 #include "sim/scenario_build.hpp"
 
@@ -33,25 +30,17 @@ TrackingResult run_tracking(const ScenarioConfig& cfg, std::span<const Method> m
   const Deployment nodes = scenario_deployment(cfg, root.substream(1));
   const std::unique_ptr<MobilityModel> trace = scenario_trace(cfg, root.substream(2));
   const ResolvedChannel channel = resolve_channel(cfg);
-  const PathLossModel& model = channel.model;
-  const double C = channel.C;
 
   // Face maps: the uncertain-boundary map for FTTT and the bisector map
   // for the certain-sequence baselines; build each once and share.
   std::shared_ptr<const FaceMap> uncertain_map;
   std::shared_ptr<const FaceMap> bisector_map;
-  const bool needs_uncertain = std::any_of(methods.begin(), methods.end(), [](Method m) {
-    return m == Method::kFttt || m == Method::kFtttExtended;
-  });
-  const bool needs_bisector = std::any_of(methods.begin(), methods.end(), [](Method m) {
-    return m == Method::kPathMatching || m == Method::kDirectMle;
-  });
-  if (needs_uncertain) {
+  if (needs_uncertain_map(methods)) {
     FTTT_OBS_SPAN("sim.facemap.build");
-    FaceMapBuilder builder(nodes, C, cfg.field, cfg.grid_cell, pool);
+    FaceMapBuilder builder(nodes, channel.C, cfg.field, cfg.grid_cell, pool);
     uncertain_map = std::make_shared<const FaceMap>(builder.build());
   }
-  if (needs_bisector) {
+  if (needs_bisector_map(methods)) {
     FTTT_OBS_SPAN("sim.facemap.build");
     FaceMapBuilder builder(nodes, 1.0, cfg.field, cfg.grid_cell, pool);
     bisector_map = std::make_shared<const FaceMap>(builder.build());
@@ -61,29 +50,14 @@ TrackingResult run_tracking(const ScenarioConfig& cfg, std::span<const Method> m
   std::vector<AnyTracker> trackers;
   for (Method m : methods) {
     switch (m) {
-      case Method::kFttt: {
-        auto t = std::make_shared<FtttTracker>(
-            uncertain_map,
-            FtttTracker::Config{VectorMode::kBasic, cfg.eps, true, 0.5, cfg.missing,
-                                cfg.hierarchical_matching});
-        trackers.push_back({[t](const GroupingSampling& g) { return t->localize(g); }});
-        break;
-      }
+      case Method::kFttt:
       case Method::kFtttExtended: {
-        auto t = std::make_shared<FtttTracker>(
-            uncertain_map,
-            FtttTracker::Config{VectorMode::kExtended, cfg.eps, true, 0.5, cfg.missing,
-                                cfg.hierarchical_matching});
+        auto t = std::make_shared<FtttTracker>(uncertain_map, fttt_config(cfg, m));
         trackers.push_back({[t](const GroupingSampling& g) { return t->localize(g); }});
         break;
       }
       case Method::kPathMatching: {
-        PathMatchingTracker::Config pm;
-        pm.eps = cfg.eps;
-        pm.max_velocity = cfg.v_max;
-        pm.period = cfg.localization_period;
-        pm.missing = cfg.missing;
-        auto t = std::make_shared<PathMatchingTracker>(bisector_map, pm);
+        auto t = std::make_shared<PathMatchingTracker>(bisector_map, path_matching_config(cfg));
         trackers.push_back({[t](const GroupingSampling& g) { return t->localize(g); }});
         break;
       }
@@ -95,20 +69,8 @@ TrackingResult run_tracking(const ScenarioConfig& cfg, std::span<const Method> m
     }
   }
 
-  // Fault model.
-  const BernoulliDropout dropout(cfg.dropout_probability, root.substream(3));
-  const NoFaults none;
-  const FaultModel& faults =
-      cfg.dropout_probability > 0.0 ? static_cast<const FaultModel&>(dropout)
-                                    : static_cast<const FaultModel&>(none);
-
-  SamplingConfig sampling;
-  sampling.model = model;
-  sampling.sensing_range = cfg.sensing_range;
-  sampling.sample_period = 1.0 / cfg.sample_rate;
-  sampling.samples_per_group = cfg.samples_per_group;
-  sampling.clock_skew = cfg.clock_skew;
-  sampling.freeze_target_during_group = cfg.freeze_group;
+  const ScenarioFaults faults(cfg, root.substream(3));
+  const SamplingConfig sampling = scenario_sampling(cfg, channel);
 
   TrackingResult result;
   result.faces_uncertain = uncertain_map ? uncertain_map->face_count() : 0;
@@ -116,14 +78,13 @@ TrackingResult run_tracking(const ScenarioConfig& cfg, std::span<const Method> m
   result.methods.resize(methods.size());
   for (std::size_t m = 0; m < methods.size(); ++m) result.methods[m].method = methods[m];
 
-  const auto epochs =
-      static_cast<std::uint64_t>(cfg.duration / cfg.localization_period);
+  const std::uint64_t epochs = scenario_epochs(cfg);
   const auto target_at = [&](double t) { return trace->position_at(t); };
   for (std::uint64_t e = 0; e < epochs; ++e) {
     FTTT_OBS_SPAN("sim.epoch");
     FTTT_OBS_COUNT("sim.epochs", 1);
     const double t0 = static_cast<double>(e) * cfg.localization_period;
-    const GroupingSampling group = collect_group(nodes, sampling, faults, e, t0,
+    const GroupingSampling group = collect_group(nodes, sampling, faults.model(), e, t0,
                                                  target_at, root.substream(4, e));
     const Vec2 truth = trace->position_at(t0);
     result.times.push_back(t0);

@@ -1,5 +1,6 @@
 #include "sim/scenario_build.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "mobility/gauss_markov.hpp"
@@ -57,6 +58,53 @@ ResolvedChannel resolve_channel(const ScenarioConfig& cfg) {
                 : uncertainty_constant(cfg.eps, out.model.beta, out.model.sigma);
   }
   return out;
+}
+
+std::uint64_t scenario_epochs(const ScenarioConfig& cfg) {
+  return static_cast<std::uint64_t>(cfg.duration / cfg.localization_period);
+}
+
+SamplingConfig scenario_sampling(const ScenarioConfig& cfg, const ResolvedChannel& channel) {
+  SamplingConfig sampling;
+  sampling.model = channel.model;
+  sampling.sensing_range = cfg.sensing_range;
+  sampling.sample_period = 1.0 / cfg.sample_rate;
+  sampling.samples_per_group = cfg.samples_per_group;
+  sampling.clock_skew = cfg.clock_skew;
+  sampling.freeze_target_during_group = cfg.freeze_group;
+  return sampling;
+}
+
+ScenarioFaults::ScenarioFaults(const ScenarioConfig& cfg, RngStream rng)
+    : dropout_(cfg.dropout_probability, rng), dropping_(cfg.dropout_probability > 0.0) {}
+
+const FaultModel& ScenarioFaults::model() const {
+  if (dropping_) return dropout_;
+  return none_;
+}
+
+bool is_fttt(Method m) { return m == Method::kFttt || m == Method::kFtttExtended; }
+
+bool needs_uncertain_map(std::span<const Method> methods) {
+  return std::any_of(methods.begin(), methods.end(), is_fttt);
+}
+
+bool needs_bisector_map(std::span<const Method> methods) {
+  return std::any_of(methods.begin(), methods.end(), [](Method m) { return !is_fttt(m); });
+}
+
+FtttTracker::Config fttt_config(const ScenarioConfig& cfg, Method m) {
+  const VectorMode mode = m == Method::kFttt ? VectorMode::kBasic : VectorMode::kExtended;
+  return FtttTracker::Config{mode, cfg.eps, true, 0.5, cfg.missing, cfg.hierarchical_matching};
+}
+
+PathMatchingTracker::Config path_matching_config(const ScenarioConfig& cfg) {
+  PathMatchingTracker::Config pm;
+  pm.eps = cfg.eps;
+  pm.max_velocity = cfg.v_max;
+  pm.period = cfg.localization_period;
+  pm.missing = cfg.missing;
+  return pm;
 }
 
 }  // namespace fttt

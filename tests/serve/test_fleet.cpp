@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <future>
@@ -257,6 +258,54 @@ TEST(Fleet, ShedAccountingReconciles) {
   stats = fleet.stats();
   EXPECT_EQ(stats.enqueued - stats.shed, stats.frames);
   EXPECT_EQ(stats.queue_depth, 0u);
+}
+
+/// `frame` with its group cut or padded to `nodes` nodes (columns of the
+/// nodes both shapes share are kept).
+ReportFrame reshaped(const ReportFrame& frame, std::size_t nodes) {
+  ReportFrame out = frame;
+  out.group = GroupingSampling(nodes, frame.group.instants());
+  for (std::size_t n = 0; n < std::min(nodes, frame.group.node_count()); ++n)
+    if (frame.group.has(n)) out.group.set_column(n, frame.group.column(n));
+  return out;
+}
+
+TEST(Fleet, FramesNotSpanningTheRosterAreRefusedAtIngress) {
+  const Deployment roster = roster9();
+  const SyntheticWorkload workload(roster, kField, workload_config(2), 5);
+  TrackManagerFleet fleet(roster, kC, kField, kCell, {});
+  // After a failure the shard serves 8 members: a frame one node short
+  // of the roster must not pass for an already projected one.
+  ASSERT_TRUE(fleet.fail_node(4));
+  fleet.flush_rebuilds();
+
+  obs::set_enabled(true);
+  obs::Counter& counter = obs::counter("serve.rejected_malformed");
+  const std::uint64_t before = counter.value();
+  const ReportFrame frame = workload.frame(0, 0);
+  for (std::size_t nodes : {roster.size() - 1, roster.size() + 1}) {
+    EXPECT_FALSE(fleet.submit(reshaped(frame, nodes)));
+    EXPECT_FALSE(fleet.try_submit(reshaped(frame, nodes)));
+    EXPECT_FALSE(fleet.submit_wait(reshaped(frame, nodes)));
+  }
+  const std::uint64_t counted = counter.value() - before;
+  obs::set_enabled(false);
+
+  TrackManagerFleet::Stats stats = fleet.stats();
+  EXPECT_EQ(stats.malformed, 6u);
+  EXPECT_EQ(stats.enqueued, 0u);
+  EXPECT_EQ(stats.rejected, 0u);
+  EXPECT_EQ(stats.queue_depth, 0u);
+  if (obs::kCompiledIn) EXPECT_EQ(counted, 6u);
+  EXPECT_TRUE(fleet.tick().empty());
+
+  // A roster-wide frame still goes through.
+  ASSERT_TRUE(fleet.submit(frame));
+  EXPECT_EQ(fleet.tick().size(), 1u);
+  stats = fleet.stats();
+  EXPECT_EQ(stats.enqueued, 1u);
+  EXPECT_EQ(stats.frames, 1u);
+  EXPECT_EQ(stats.malformed, 6u);
 }
 
 TEST(Fleet, TrySubmitRejectsWhenFull) {

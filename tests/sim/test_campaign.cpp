@@ -5,6 +5,8 @@
 #include <array>
 #include <stdexcept>
 
+#include "sim/runner.hpp"
+
 namespace fttt {
 namespace {
 
@@ -47,6 +49,53 @@ TEST(Campaign, BitIdenticalToSerialMonteCarloPerCell) {
       EXPECT_EQ(cell.summaries[m].method, reference[m].method);
       expect_bit_equal(cell.summaries[m].pooled, reference[m].pooled);
       expect_bit_equal(cell.summaries[m].trial_means, reference[m].trial_means);
+    }
+  }
+}
+
+// monte_carlo runs on the same TrialWorker as the campaign, so the test
+// above pins the drivers, not the engine. Here the reference is the
+// serial spec: run_tracking per trial, reduced per cell in trial order
+// exactly as monte_carlo and the campaign merge, across channels,
+// missing policies and the hierarchical tier, with every method.
+TEST(Campaign, BitIdenticalToRunTrackingSpecAcrossSettings) {
+  ThreadPool pool(2);
+  for (Channel channel : {Channel::kBounded, Channel::kGaussian}) {
+    for (MissingPolicy missing :
+         {MissingPolicy::kMissingReadsSmaller, MissingPolicy::kMissingUnknown}) {
+      for (bool hierarchical : {false, true}) {
+        CampaignConfig cfg = quick_campaign();
+        cfg.base.channel = channel;
+        cfg.base.missing = missing;
+        cfg.base.hierarchical_matching = hierarchical;
+        cfg.base.dropout_probability = 0.2;  // exercise the missing policy
+        cfg.sensor_counts = {8};
+        cfg.trials_per_cell = 4;
+        cfg.methods = {Method::kFttt, Method::kFtttExtended, Method::kPathMatching,
+                       Method::kDirectMle};
+        const CampaignResult result = run_campaign(cfg, pool);
+        ASSERT_EQ(result.cells.size(), 2u);
+        for (const CampaignCell& cell : result.cells) {
+          std::vector<MonteCarloSummary> reference(cfg.methods.size());
+          for (std::uint64_t trial = 0; trial < cfg.trials_per_cell; ++trial) {
+            const TrackingResult run = run_tracking(cell.scenario, cfg.methods, trial, pool);
+            for (std::size_t m = 0; m < cfg.methods.size(); ++m) {
+              RunningStats per_run;
+              for (double e : run.methods[m].errors) per_run.add(e);
+              reference[m].pooled.merge(per_run);
+              reference[m].trial_means.add(per_run.mean());
+            }
+          }
+          for (std::size_t m = 0; m < cfg.methods.size(); ++m) {
+            SCOPED_TRACE(::testing::Message()
+                         << "channel " << static_cast<int>(channel) << " missing "
+                         << static_cast<int>(missing) << " hierarchical " << hierarchical
+                         << " density " << cell.density << " method " << m);
+            expect_bit_equal(cell.summaries[m].pooled, reference[m].pooled);
+            expect_bit_equal(cell.summaries[m].trial_means, reference[m].trial_means);
+          }
+        }
+      }
     }
   }
 }
