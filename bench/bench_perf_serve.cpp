@@ -2,9 +2,9 @@
 //
 // Feeds a TrackManagerFleet a pre-generated multi-target report stream
 // and times the steady-state service loop against a per-track scalar
-// reference (one cold ExhaustiveMatcher-equivalent match_one per frame,
-// no warm starts, no batching, no fan-out) — the loop a naive service
-// would run. Emits BENCH_serve.json; tools/fttt_perfcmp.py gates the
+// reference (one cold ExhaustiveMatcher::match per frame — the executable
+// spec, independent of the SoA kernels the fleet runs — with no warm
+// starts, no batching, no fan-out): the loop a naive service would run. Emits BENCH_serve.json; tools/fttt_perfcmp.py gates the
 // serve_batched row by its `throughput_ref` ratio against
 // bench/baselines/BENCH_serve.json (docs/perf.md has the procedure).
 //
@@ -47,8 +47,8 @@
 #include <string_view>
 #include <vector>
 
-#include "core/batch_matcher.hpp"
 #include "core/facemap_cache.hpp"
+#include "core/matcher.hpp"
 #include "core/sampling_vector.hpp"
 #include "serve/fleet.hpp"
 #include "serve/workload.hpp"
@@ -306,15 +306,15 @@ int main(int argc, char** argv) {
   volatile double sink = 0.0;  // defeat whole-loop elision
   std::uint64_t scalar_locs = 0;
 
-  // Scalar reference: cold per-frame exhaustive localization, one at a
-  // time, single-threaded — the same coverage gate, none of the serve
-  // machinery.
+  // Scalar reference: cold per-frame exhaustive localization by the
+  // executable spec, one at a time, single-threaded — the same coverage
+  // gate, none of the serve machinery. The spec shares no kernel with
+  // the fleet, so a kernel speedup moves only the gated row.
   double scalar_s = 1e300;
   {
     const Division entry =
         cache.get_or_build(roster, channel.C, cfg.field, cfg.grid_cell, single);
-    const BatchMatcher matcher(entry.map, entry.table, BatchMatcher::Config{},
-                               single);
+    const ExhaustiveMatcher spec;
     for (std::size_t r = 0; r < opt.repeats; ++r) {
       std::uint64_t locs = 0;
       double acc = 0.0;
@@ -327,7 +327,7 @@ int main(int argc, char** argv) {
               build_sampling_vector(frame.group, base_config.track.eps,
                                     base_config.track.mode,
                                     base_config.track.missing);
-          const MatchResult m = matcher.match_one(vd);
+          const MatchResult m = spec.match(*entry.map, vd);
           acc += m.similarity;
           ++locs;
         }

@@ -10,12 +10,22 @@
 // fanned out across the thread pool with one bulk submission and
 // per-slot scratch.
 //
+// Two kernel families serve one contract. Basic-mode vectors (every
+// known component in {-1, 0, +1}, Def. 4/5 with the Eq. 6 fill) against
+// tables of at most kExactMaxPlanes planes take the exact integer path:
+// an IntegralView (int8 values, byte known-mask) per vector, squared
+// terms in {0, 1, 4} summed in uint16 lanes, selection on the integer
+// distances, and one 1/sqrt for the winner — exact, because the double
+// accumulation of the same terms is exact too and 1/sqrt is strictly
+// decreasing and injective on those integers (docs/matching.md).
+// Extended-mode vectors and wider tables keep the double kernels.
+//
 // Equivalence contract: match()/match_one() are *bit-identical* to
-// ExhaustiveMatcher::match (same floating-point accumulation order per
-// face, same similarity transform, same comparison and tie-break
-// sequence), and climb() is bit-identical to HeuristicMatcher::match.
-// The scalar matchers remain as the executable specification;
-// tests/core/test_batch_matcher.cpp enforces the contract.
+// ExhaustiveMatcher::match (same distances and similarity transform,
+// the double path in the spec's accumulation order, same comparison and
+// tie-break sequence), and climb() is bit-identical to
+// HeuristicMatcher::match. The scalar matchers remain as the executable
+// specification; tests/core/test_batch_matcher.cpp enforces the contract.
 //
 // Large deployments add a fourth tier: build_hierarchy() attaches a
 // coarse HierFaceMap pyramid plus a SignatureIndex over its tiles, and
@@ -46,8 +56,10 @@ class SignatureIndex;
 /// scope so its member initializers can feed the constructor's default
 /// argument.
 struct BatchMatcherConfig {
-  /// Accumulator columns per block: the block's doubles plus one plane
-  /// segment should stay L1-resident (1024 -> 8 KiB acc + 1 KiB plane).
+  /// Accumulator columns per block of the double kernels (the exact
+  /// integer kernels use fixed 2048-column blocks): the block's doubles
+  /// plus one plane segment should stay L1-resident (1024 -> 8 KiB acc
+  /// + 1 KiB plane).
   std::size_t face_block{1024};
   /// Batches below this size run on the caller; pool fan-out overhead
   /// would exceed the matching work.
@@ -73,6 +85,11 @@ struct Localized {
 class BatchMatcher {
  public:
   using Config = BatchMatcherConfig;
+
+  /// Largest table dimension the exact integer kernels serve: each
+  /// squared term is at most 4, and 4 * 16383 = 65532 still fits a
+  /// uint16 lane. Larger tables keep the double kernels.
+  static constexpr std::size_t kExactMaxPlanes = 16383;
 
   /// Match over `map`'s faces. `table` shares an already-built SoA table
   /// (a Division's, e.g. a FaceMapCache entry or the zero-transposition
@@ -113,13 +130,16 @@ class BatchMatcher {
   /// hold padded_faces() doubles; entries [0, face_count()) are filled
   /// with values bit-identical to the scalar
   /// similarity(vd, face.signature) of every face (pad entries are
-  /// meaningless). This is the kernel match() selects over, exposed so
-  /// face-scan consumers (path matching) share it.
+  /// meaningless). This is the scan match() selects over, exposed so
+  /// face-scan consumers (path matching) share it; on the exact path
+  /// each face's integer distance^2 converts to its similarity here.
   void similarities_into(const SamplingVector& vd, std::span<double> out) const;
 
   /// Select the exhaustive match from an already-computed per-face
-  /// similarity array (a similarities_into buffer): the same max scan,
-  /// tie sweep and finalization match_one runs after its own scan, so
+  /// similarity array (a similarities_into buffer): max scan, tie sweep
+  /// and finalization over doubles — the same selection match_one makes
+  /// on either kernel path, since equal integer distances are exactly
+  /// the equal similarities — so
   /// when `scores` came from similarities_into(vd, ...) the result is
   /// bit-identical to match_one(vd) on the flat path. The campaign
   /// engine shares one scan between path matching and Direct MLE this
@@ -165,26 +185,33 @@ class BatchMatcher {
 
  private:
   struct BatchState;
-  struct DescentScratch;
+  struct Scratch;
 
   /// match() over borrowed vectors (the batch the localize rule gathers).
   std::vector<MatchResult> match_each(std::span<const SamplingVector* const> batch) const;
 
-  /// Accumulate distance^2 of `vd` over all face columns into `acc`
-  /// (padded_faces() doubles of scratch) and select the result.
-  void match_into(const SamplingVector& vd, double* acc, MatchResult& out) const;
+  /// Fill `view` from `vd`; true when the exact integer kernels serve
+  /// the vector (integral, and the table within kExactMaxPlanes).
+  bool exact(const SamplingVector& vd, IntegralView& view) const;
 
-  /// The accumulation + similarity transform shared by match_into and
-  /// similarities_into (no selection, no validation).
-  void similarities_unchecked(const SamplingVector& vd, double* acc) const;
+  /// One validated localization with caller-owned scratch (batch
+  /// fan-outs reuse it across vectors): descend_into when a tier is
+  /// attached, else the flat scan — exact integers or doubles — and the
+  /// selection.
+  void match_into(const SamplingVector& vd, Scratch& s, MatchResult& out) const;
 
-  /// Similarity of one face via a column walk (hill-climb support).
-  double column_similarity(const SamplingVector& vd, FaceId face) const;
+  /// The double kernels' accumulation + similarity transform over all
+  /// padded face columns into `acc` (no selection, no validation);
+  /// `view` supplies the known bytes.
+  void similarities_double(const SamplingVector& vd, const IntegralView& view,
+                           double* acc) const;
 
-  /// The descent body (validated input, caller-owned scratch so batch
-  /// fan-outs reuse heaps and accumulators across vectors).
-  void descend_into(const SamplingVector& vd, DescentScratch& ds,
-                    MatchResult& out) const;
+  /// climb() with a caller-owned view buffer (localize reuses one).
+  MatchResult climb_with(const SamplingVector& vd, FaceId start,
+                         IntegralView& view) const;
+
+  /// The descent body (validated input, caller-owned scratch).
+  void descend_into(const SamplingVector& vd, Scratch& s, MatchResult& out) const;
 
   /// Throws std::invalid_argument when vd's dimension != the table's
   /// (same failure type as the scalar vector_distance path).

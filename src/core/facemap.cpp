@@ -158,6 +158,13 @@ FaceMap FaceMap::from_cells(const Deployment& nodes, double C, UniformGrid grid,
       }
     }
     if (id == map.faces_.size()) {
+      // Def. 6: components are trits. Checked once per emitted face —
+      // every later cell of the face carries the same signature — since
+      // the matchers' exact integer kernels rely on it (docs/matching.md).
+      for (const SigValue v : sig)
+        if (v < -1 || v > 1)
+          throw std::invalid_argument(
+              "FaceMap::from_cells: signature component outside {-1, 0, +1}");
       bucket.push_back(id);
       map.faces_.push_back(Face{id, std::move(sig), Vec2{}, 0});
       centroid_sum.push_back(Vec2{});

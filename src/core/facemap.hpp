@@ -51,7 +51,9 @@ class FaceMap {
   /// Assemble a face map from precomputed per-cell signatures (the entry
   /// point of the adaptive double-level division, core/adaptive_grid.hpp).
   /// `cell_signatures` is indexed by the grid's flat cell index and is
-  /// consumed (moved from).
+  /// consumed (moved from). Throws std::invalid_argument when a component
+  /// lies outside {-1, 0, +1} (Def. 6) or the signature count differs
+  /// from the cell count.
   static FaceMap from_cells(const Deployment& nodes, double C, UniformGrid grid,
                             std::vector<SignatureVector>&& cell_signatures);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "common/check.hpp"
 #include "obs/obs.hpp"
 
 namespace fttt {
@@ -110,53 +111,43 @@ HierFaceMap HierFaceMap::build(const SignatureTable& table, ThreadPool& pool) {
   return h;
 }
 
-void HierFaceMap::lower_bounds_into(const SamplingVector& vd, std::size_t level,
-                                    std::size_t lo, std::size_t hi,
-                                    double* out) const {
-  if (vd.dimension() != dimension_)
+void HierFaceMap::check_range(std::size_t dim, std::size_t level, std::size_t lo,
+                              std::size_t hi) const {
+  if (dim != dimension_)
     throw std::invalid_argument("HierFaceMap: sampling vector dimension mismatch");
   if (level >= levels_.size() || lo > hi || hi > levels_[level].nodes)
     throw std::invalid_argument("HierFaceMap: node range outside level");
+}
+
+void HierFaceMap::lower_bounds_into(const SamplingVector& vd, std::size_t level,
+                                    std::size_t lo, std::size_t hi,
+                                    double* out) const {
+  check_range(vd.dimension(), level, lo, hi);
   const std::size_t n = hi - lo;
-  if (n == 0) return;
-
-  // Basic-mode (integral) vectors take an exact integer path: every
-  // per-plane term is one of {0, 1, 4}, so 32-bit sums are exact and
-  // convert to the identical doubles the rounded accumulation produces
-  // — same bound, cheaper inner loop.
-  bool integral = true;
-  for (std::size_t c = 0; c < dimension_; ++c) {
-    if (!vd.known[c]) continue;
-    const double v = vd.value[c];
-    if (v != -1.0 && v != 0.0 && v != 1.0) {
-      integral = false;
-      break;
-    }
-  }
-
-  if (integral) {
-    std::vector<std::uint32_t> acc(n, 0);
-    for (std::size_t c = 0; c < dimension_; ++c) {
-      if (!vd.known[c]) continue;  // '*' constrains nothing (Eq. 7)
-      const std::uint32_t* lut =
-          kIntMinTerm[static_cast<std::size_t>(
-                          static_cast<int>(vd.value[c]) + 1)]
-              .data();
-      const std::uint8_t* m = plane(level, c) + lo;
-      for (std::size_t i = 0; i < n; ++i) acc[i] += lut[m[i]];
-    }
-    for (std::size_t i = 0; i < n; ++i) out[i] = static_cast<double>(acc[i]);
-    return;
-  }
-
-  // General path: per-node sums accumulate in ascending pair order with
-  // the fine kernel's rounding, so monotonicity of IEEE addition keeps
-  // every bound at or below the exact accumulation it prunes against.
+  // Per-node sums accumulate in ascending pair order with the fine
+  // kernel's rounding, so monotonicity of IEEE addition keeps every
+  // bound at or below the exact accumulation it prunes against.
   std::fill(out, out + n, 0.0);
   for (std::size_t c = 0; c < dimension_; ++c) {
-    if (!vd.known[c]) continue;
+    if (!vd.known[c]) continue;  // '*' constrains nothing (Eq. 7)
     double lut[8];
     build_lut(vd.value[c], lut);
+    const std::uint8_t* m = plane(level, c) + lo;
+    for (std::size_t i = 0; i < n; ++i) out[i] += lut[m[i]];
+  }
+}
+
+void HierFaceMap::lower_bounds_into(const IntegralView& view, std::size_t level,
+                                    std::size_t lo, std::size_t hi,
+                                    std::uint32_t* out) const {
+  check_range(view.known.size(), level, lo, hi);
+  FTTT_DCHECK(view.integral, "integer bounds of a non-integral vector");
+  const std::size_t n = hi - lo;
+  std::fill(out, out + n, 0u);
+  for (std::size_t c = 0; c < dimension_; ++c) {
+    if (!view.known[c]) continue;
+    const std::uint32_t* lut =
+        kIntMinTerm[static_cast<std::size_t>(view.value[c] + 1)].data();
     const std::uint8_t* m = plane(level, c) + lo;
     for (std::size_t i = 0; i < n; ++i) out[i] += lut[m[i]];
   }

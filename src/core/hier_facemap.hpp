@@ -134,6 +134,10 @@ class HierFaceMap {
     return l.masks.data() + pair * l.stride;
   }
 
+  /// Distance between consecutive mask planes of `level` (node_count
+  /// rounded up to kFanout; pad masks are 0).
+  std::size_t plane_stride(std::size_t level) const { return levels_[level].stride; }
+
   /// One (level, pair, node) mask.
   std::uint8_t mask(std::size_t level, std::size_t pair, std::size_t node) const {
     return plane(level, pair)[node];
@@ -154,6 +158,14 @@ class HierFaceMap {
   void lower_bounds_into(const SamplingVector& vd, std::size_t level,
                          std::size_t lo, std::size_t hi, double* out) const;
 
+  /// The same bounds for an integral vector's view (IntegralView::integral
+  /// set), summed in exact integer arithmetic: every term is one of
+  /// {0, 1, 4} (kIntMinTerm), so out[i] equals the double overload's
+  /// out[i] for the vector the view came from. The descent's integer
+  /// path. Throws like the double overload.
+  void lower_bounds_into(const IntegralView& view, std::size_t level,
+                         std::size_t lo, std::size_t hi, std::uint32_t* out) const;
+
   /// Total mask bytes across levels (the coarse tier's memory budget;
   /// BENCH_largeN.json tracks this per face).
   std::size_t bytes() const;
@@ -166,6 +178,10 @@ class HierFaceMap {
   };
 
   HierFaceMap() = default;
+
+  /// The argument checks both lower_bounds_into overloads share.
+  void check_range(std::size_t dim, std::size_t level, std::size_t lo,
+                   std::size_t hi) const;
 
   std::size_t face_count_{0};
   std::size_t dimension_{0};

@@ -15,6 +15,23 @@ std::size_t SamplingVector::unknown_count() const {
   return c;
 }
 
+bool IntegralView::assign(const SamplingVector& vd) {
+  const std::size_t dim = vd.dimension();
+  value.resize(dim);
+  known.resize(dim);
+  integral = true;
+  for (std::size_t c = 0; c < dim; ++c) {
+    const bool k = vd.known[c];
+    known[c] = k ? 1 : 0;
+    const double v = k ? vd.value[c] : 0.0;
+    // NaN and fractional (extended-mode) values fail all three tests.
+    const bool trit = v == -1.0 || v == 0.0 || v == 1.0;
+    integral = integral && trit;
+    value[c] = trit ? static_cast<std::int8_t>(v) : std::int8_t{0};
+  }
+  return integral;
+}
+
 namespace {
 
 /// Pair value when both nodes reported: Def. 4 (basic) / Def. 10

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "net/sampling.hpp"
@@ -44,6 +45,23 @@ struct SamplingVector {
 
   /// Count of '*' components.
   std::size_t unknown_count() const;
+};
+
+/// The byte view of a sampling vector that the matching kernels read
+/// (BatchMatcher, HierFaceMap): one int8 value and one known byte per
+/// component, so hot loops touch neither doubles nor std::vector<bool>
+/// bits. A basic-mode vector is *integral* — every known component is
+/// -1, 0 or +1 — and its Eq. 7 squared terms are then exact small
+/// integers (docs/matching.md has the exactness argument).
+struct IntegralView {
+  std::vector<std::int8_t> value;   ///< the component if known and integral, else 0
+  std::vector<std::uint8_t> known;  ///< 1 per known component, 0 per '*'
+  bool integral{false};             ///< every known component in {-1, 0, +1}
+
+  /// Rebuild the view of `vd`, reusing capacity; returns `integral`.
+  /// `known` is filled for every vector, `value` is meaningful only when
+  /// the vector is integral.
+  bool assign(const SamplingVector& vd);
 };
 
 /// Build the sampling vector of one grouping sampling (Algorithm 1 plus

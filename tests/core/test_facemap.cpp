@@ -25,6 +25,23 @@ TEST(FaceMap, BuildValidation) {
   EXPECT_THROW(FaceMap::build(bad, 1.2, kField, 1.0), std::invalid_argument);
 }
 
+TEST(FaceMap, FromCellsRejectsComponentsOutsideTrits) {
+  // Def. 6: every signature component is -1, 0 or +1; the matchers'
+  // exact integer kernels rely on it, so assembly refuses anything else.
+  const UniformGrid grid(kField, 10.0);
+  const std::size_t dim = square_four().size() * (square_four().size() - 1) / 2;
+  for (const SigValue bad : {SigValue{2}, SigValue{-2}, SigValue{127}}) {
+    std::vector<SignatureVector> cells(grid.cell_count(), SignatureVector(dim, 1));
+    cells.back()[dim - 1] = bad;  // a face of its own, emitted last
+    EXPECT_THROW(FaceMap::from_cells(square_four(), 1.2, grid, std::move(cells)),
+                 std::invalid_argument)
+        << "component " << static_cast<int>(bad);
+  }
+  std::vector<SignatureVector> ok(grid.cell_count(), SignatureVector(dim, -1));
+  ok.front()[0] = 0;
+  EXPECT_EQ(FaceMap::from_cells(square_four(), 1.2, grid, std::move(ok)).face_count(), 2u);
+}
+
 TEST(FaceMap, EveryCellAssignedToAFace) {
   const FaceMap map = FaceMap::build(square_four(), 1.2, kField, 0.5);
   EXPECT_GT(map.face_count(), 0u);

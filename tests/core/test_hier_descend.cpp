@@ -5,8 +5,11 @@
 // faces_examined may differ (it honestly counts rescored faces).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/random.hpp"
@@ -128,6 +131,51 @@ TEST(HierDescend, ExactSignatureVectorsTieBreakLikeTheSpec) {
         vd.value.push_back(static_cast<double>(v));
       expect_argmax_identical(reference.match(*map, vd), matcher.descend(vd),
                               "exact signature");
+    }
+  }
+}
+
+TEST(HierDescend, ExactDescentBitIdenticalToSpecAtTheEdges) {
+  // The integer descent's edge cases next to extended vectors (which
+  // keep the double descent): production-built basic vectors under both
+  // missing policies ('*' from silent nodes), an all-'*' vector, exact
+  // face signatures (zero distance: the winning tile's bound reaches 0),
+  // through descend() and the fanned-out batched match.
+  const ExhaustiveMatcher reference;
+  for (Deployment& nodes : contract_deployments(8, 41)) {
+    const auto map = build_map(nodes);
+    BatchMatcher matcher(map);
+    matcher.build_hierarchy();
+    RngStream rng(nodes.size() * 3 + 1);
+    std::vector<SamplingVector> vectors;
+    for (const MissingPolicy missing :
+         {MissingPolicy::kMissingReadsSmaller, MissingPolicy::kMissingUnknown})
+      for (const VectorMode mode : {VectorMode::kBasic, VectorMode::kExtended})
+        for (int i = 0; i < 5; ++i) {
+          const Vec2 p{rng.uniform(kField.lo.x, kField.hi.x),
+                       rng.uniform(kField.lo.y, kField.hi.y)};
+          GroupingSampling group(nodes.size(), 5);
+          for (const SensorNode& n : nodes) {
+            if (rng.bernoulli(0.25)) continue;  // silent this epoch
+            const std::span<double> column = group.set_column(n.id);
+            const double d = std::max(1.0, distance(n.position, p));
+            for (double& rss : column)
+              rss = -40.0 - 40.0 * std::log10(d) + rng.normal(0.0, 3.0);
+          }
+          vectors.push_back(build_sampling_vector(group, 1.0, mode, missing));
+        }
+    vectors.push_back(all_star_vector(*map));
+    for (FaceId id = 0; id < map->face_count(); id += 7) {
+      SamplingVector exact;
+      exact.known.assign(map->dimension(), true);
+      for (SigValue v : map->face(id).signature) exact.value.push_back(static_cast<double>(v));
+      vectors.push_back(exact);
+    }
+    const std::vector<MatchResult> batched = matcher.match(vectors);
+    for (std::size_t i = 0; i < vectors.size(); ++i) {
+      const MatchResult want = reference.match(*map, vectors[i]);
+      expect_argmax_identical(want, matcher.descend(vectors[i]), "edge descend");
+      expect_argmax_identical(want, batched[i], "edge batched descend");
     }
   }
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -148,6 +149,33 @@ TEST(HierFaceMap, ParentBoundNeverExceedsChildBound) {
         for (std::size_t c = c0; c < c1; ++c)
           ASSERT_LE(parent[p], child[c]) << "level " << l << " parent " << p;
       }
+    }
+  }
+}
+
+TEST(HierFaceMap, IntegerBoundsEqualDoubleBoundsOnIntegralVectors) {
+  // The descent's integer overload sums the same {0, 1, 4} terms the
+  // double overload rounds exactly, on every level.
+  RngStream seed_rng(13);
+  const Deployment nodes = random_deployment(kField, 24, seed_rng);
+  const double C = uncertainty_constant(1.0, 4.0, 6.0);
+  const auto map =
+      std::make_shared<const FaceMap>(FaceMap::build(nodes, C, kField, 0.5));
+  const SignatureTable table(*map);
+  const HierFaceMap hier = HierFaceMap::build(table);
+  ASSERT_GE(hier.level_count(), 2u);
+  RngStream rng(43);
+  IntegralView view;
+  for (int i = 0; i < 8; ++i) {
+    const SamplingVector vd = noisy_vector(*map, rng, false);
+    ASSERT_TRUE(view.assign(vd));
+    for (std::size_t l = 0; l < hier.level_count(); ++l) {
+      std::vector<double> want(hier.node_count(l));
+      std::vector<std::uint32_t> got(hier.node_count(l));
+      hier.lower_bounds_into(vd, l, 0, want.size(), want.data());
+      hier.lower_bounds_into(view, l, 0, got.size(), got.data());
+      for (std::size_t n = 0; n < want.size(); ++n)
+        ASSERT_EQ(want[n], static_cast<double>(got[n])) << "level " << l << " node " << n;
     }
   }
 }

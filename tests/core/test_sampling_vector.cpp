@@ -1,6 +1,9 @@
 #include "core/sampling_vector.hpp"
 
+#include <cmath>
+#include <cstdint>
 #include <span>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -148,6 +151,26 @@ TEST(SamplingVector, RaggedColumnIsUnrepresentable) {
   g.set_column(0, good);
   EXPECT_THROW(g.set_column(1, ragged), std::invalid_argument);
   EXPECT_EQ(g.reporting_count(), 1u);
+}
+
+TEST(IntegralView, TritVectorsAreIntegralAndEverythingElseIsNot) {
+  SamplingVector vd;
+  vd.value = {1.0, -1.0, 0.0, -0.0, 0.5};
+  vd.known = {true, true, true, true, false};  // '*' hides the fraction
+  IntegralView view;
+  EXPECT_TRUE(view.assign(vd));
+  EXPECT_EQ(view.value, (std::vector<std::int8_t>{1, -1, 0, 0, 0}));
+  EXPECT_EQ(view.known, (std::vector<std::uint8_t>{1, 1, 1, 1, 0}));
+
+  vd.known[4] = true;  // a known Def. 10 fraction
+  EXPECT_FALSE(view.assign(vd));
+  EXPECT_FALSE(view.integral);
+  EXPECT_EQ(view.known, (std::vector<std::uint8_t>{1, 1, 1, 1, 1}));
+
+  vd.value[4] = 2.0;  // out of range is not a trit either
+  EXPECT_FALSE(view.assign(vd));
+  vd.value[4] = std::nan("");
+  EXPECT_FALSE(view.assign(vd));
 }
 
 }  // namespace
